@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check stress stress-mscd cache-determinism cover bench fuzz experiments examples vet-examples opt-goldens clean
+.PHONY: all build test check perfbench-check stress stress-mscd cache-determinism cover bench fuzz experiments examples vet-examples opt-goldens clean
 
 all: build test check
 
@@ -14,13 +14,20 @@ test:
 # The -race pass includes TestVectorizedCorpusWide (width 65536 at every
 # worker count), so the chunk pool's claim/commit discipline is
 # race-checked at production scale on every gate.
-check: vet-examples opt-goldens cache-determinism stress
+check: vet-examples opt-goldens cache-determinism perfbench-check stress
 	go vet ./...
 	go build ./cmd/mscd ./cmd/mscload
 	go test ./cmd/...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	go test -race ./...
+
+# The repository benchmark is its own module (perfbench/go.mod), so the
+# root `go vet ./...` and `go test ./...` never build it. Vet and test it
+# here: this runs its self-tests and fails when an internal API it calls
+# changes shape.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 # Robustness stress gate: the deterministic fault-injection matrix
 # (compile phases and the artifact cache's filesystem hooks), the

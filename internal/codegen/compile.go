@@ -80,8 +80,10 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 	// inside a mixed meta state just wait (§2.6); in paper mode mixed
 	// states never exist and all-barrier states execute on release.
 	allBarrier := ms.Set.Subset(a.Barriers)
-	var members []*cfg.Block
-	for _, id := range ms.Set.Elems() {
+	ids := ms.Set.Elems()
+	members := make([]*cfg.Block, 0, len(ids))
+	bodyLen := 0
+	for _, id := range ids {
 		b := a.G.Block(id)
 		if b == nil {
 			return nil, fmt.Errorf("codegen: ms%d references missing MIMD state %d", ms.ID, id)
@@ -90,9 +92,12 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 			continue // waiting: contributes no code, pc unchanged
 		}
 		members = append(members, b)
+		bodyLen += len(b.Code)
 	}
 
 	// Body: one guarded slot per instruction, optionally CSI-merged.
+	// Slots are allocated once: the body plus one terminator slot per
+	// member (every TermKind emits exactly one).
 	if opt.CSI {
 		threads := make([]csi.Thread, len(members))
 		for i, b := range members {
@@ -111,6 +116,7 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		}
 		opt.Metrics.Add(obs.CounterCSISavedCycles, int64(sched.Saved()))
 		opt.Metrics.Add(obs.CounterCSISlotsSaved, int64(sched.SlotsSaved()))
+		mc.Slots = make([]simd.Slot, 0, len(sched.Slots)+len(members))
 		for _, sl := range sched.Slots {
 			// A CSI-merged slot serves every state in its guard; the
 			// minimum member is the deterministic representative the
@@ -124,6 +130,7 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 			})
 		}
 	} else {
+		mc.Slots = make([]simd.Slot, 0, bodyLen+len(members))
 		for _, b := range members {
 			guard := bitset.Of(b.ID)
 			for _, in := range b.Code {
@@ -166,11 +173,11 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 	}
 
 	// Transition encoding (§3.2).
-	for _, to := range ms.Trans {
-		mc.Trans.Entries = append(mc.Trans.Entries, simd.DispatchEntry{
-			Key: a.States[to].Set.Clone(),
-			To:  to,
-		})
+	if len(ms.Trans) > 0 {
+		mc.Trans.Entries = make([]simd.DispatchEntry, len(ms.Trans))
+		for i, to := range ms.Trans {
+			mc.Trans.Entries[i] = simd.DispatchEntry{Key: a.States[to].Set.Clone(), To: to}
+		}
 	}
 	opt.Metrics.Add(obs.CounterDispatchEntries, int64(len(mc.Trans.Entries)))
 	switch {

@@ -12,6 +12,13 @@
 //  1. (w >> a) & mask                      — 2 cycles
 //  2. ((w >> a) ^ (w >> b)) & mask         — 4 cycles
 //  3. ((w*M) >> s) & mask (Fibonacci mul)  — 8 cycles
+//
+// Candidates are tested in exactly that order without allocating: a
+// loop specialised to the candidate's form marks each key's index in
+// one generation-stamped occupancy table, allocated once per search, and
+// only the winner becomes a *simd.HashFn. Exploding automata (§1.2) run
+// a search per multiway meta state and millions of candidates per
+// compile, so a candidate must cost no more than its loop over the keys.
 package hashgen
 
 import (
@@ -28,6 +35,10 @@ const (
 	costMul   = 8
 )
 
+// maxTableBits bounds the jump table at 2^16 entries, so more than 2^16
+// keys can have no perfect hash and are rejected up front.
+const maxTableBits = 16
+
 // fibonacci multipliers tried for the multiplicative form (2^64/φ and a
 // few standard mixers).
 var multipliers = []uint64{
@@ -39,7 +50,8 @@ var multipliers = []uint64{
 }
 
 // Find returns the cheapest perfect hash over keys from the candidate
-// family. Keys must be non-empty and distinct.
+// family. Keys must be non-empty and distinct, and at most 2^16 of them
+// (the largest table).
 func Find(keys []uint64) (*simd.HashFn, error) {
 	h, _, err := Search(keys)
 	return h, err
@@ -53,77 +65,124 @@ func Search(keys []uint64) (*simd.HashFn, int, error) {
 	if len(keys) == 0 {
 		return nil, tried, fmt.Errorf("hashgen: no keys")
 	}
-	seen := make(map[uint64]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			return nil, tried, fmt.Errorf("hashgen: duplicate key %#x", k)
-		}
-		seen[k] = true
+	if len(keys) > 1<<maxTableBits {
+		return nil, tried, fmt.Errorf("hashgen: %d keys exceed the largest table size 2^%d",
+			len(keys), maxTableBits)
+	}
+	minBits := bits.Len(uint(len(keys) - 1))
+	maxBits := min(minBits+4, maxTableBits)
+	occ := occupancy{stamps: make([]uint32, 1<<maxBits)}
+	if k, dup := occ.duplicate(keys); dup {
+		return nil, tried, fmt.Errorf("hashgen: duplicate key %#x", k)
 	}
 
-	minBits := bits.Len(uint(len(keys) - 1))
-	if len(keys) == 1 {
-		minBits = 0
-	}
-	for b := minBits; b <= minBits+4 && b <= 16; b++ {
+	for b := minBits; b <= maxBits; b++ {
 		mask := uint64(1)<<uint(b) - 1
 
 		// Form 1: single shift.
-		for a := 0; a < 64; a++ {
-			h := &simd.HashFn{ShiftA: a, Mask: mask, EvalCost: costShift}
+		for a := uint(0); a < 64; a++ {
 			tried++
-			if perfect(h, keys) {
-				return h, tried, nil
+			if occ.shift(keys, a, mask) {
+				return &simd.HashFn{ShiftA: int(a), Mask: mask, EvalCost: costShift}, tried, nil
 			}
 		}
 		// Form 2: xor of two shifts (the Listing 5 shape).
-		for a := 0; a < 64; a++ {
+		for a := uint(0); a < 64; a++ {
 			for c := a + 1; c < 64; c++ {
-				h := &simd.HashFn{ShiftA: a, ShiftB: c, UseB: true, Mask: mask, EvalCost: costXor}
 				tried++
-				if perfect(h, keys) {
-					return h, tried, nil
+				if occ.xor(keys, a, c, mask) {
+					return &simd.HashFn{
+						ShiftA: int(a), ShiftB: int(c), UseB: true,
+						Mask: mask, EvalCost: costXor,
+					}, tried, nil
 				}
 			}
 		}
 		// Form 3: multiplicative. ShiftA=64 zeroes the plain term.
 		for _, m := range multipliers {
 			for s := 64 - b; s >= 32; s -= 4 {
-				h := &simd.HashFn{
-					ShiftA: 64, UseMul: true, Mul: m, ShiftM: s,
-					Mask: mask, EvalCost: costMul,
-				}
 				tried++
-				if perfect(h, keys) {
-					return h, tried, nil
+				if occ.mul(keys, m, uint(s), mask) {
+					return &simd.HashFn{
+						ShiftA: 64, UseMul: true, Mul: m, ShiftM: s,
+						Mask: mask, EvalCost: costMul,
+					}, tried, nil
 				}
 			}
 		}
 	}
 	return nil, tried, fmt.Errorf("hashgen: no perfect hash found for %d keys within table size 2^%d",
-		len(keys), minBits+4)
+		len(keys), maxBits)
 }
 
-// perfect reports whether h maps every key to a distinct index.
-func perfect(h *simd.HashFn, keys []uint64) bool {
-	var small [64]bool
-	var used map[uint64]bool
-	if h.Mask >= uint64(len(small)) {
-		used = make(map[uint64]bool, len(keys))
-	}
-	for _, k := range keys {
-		idx := h.Index(k)
-		if used != nil {
-			if used[idx] {
-				return false
+// occupancy is the search's one jump-table-sized scratch. Each
+// candidate test starts a new generation, so a slot is taken iff it
+// holds the current one and the table is never cleared between
+// candidates. A search tests a few thousand candidates per table size,
+// far from wrapping the stamp.
+type occupancy struct {
+	stamps []uint32
+	gen    uint32
+}
+
+// duplicate returns the first key that repeats an earlier one. It uses
+// the table as an open-addressed set of key positions (the table has
+// at least len(keys) slots, so probing ends) and leaves it clear when
+// the keys are distinct.
+func (o *occupancy) duplicate(keys []uint64) (uint64, bool) {
+	mask := uint64(len(o.stamps) - 1)
+	shift := uint(64 - bits.Len64(mask))
+	for i, k := range keys {
+		j := (k * multipliers[0]) >> shift // Fibonacci hashing spreads sparse keys
+		for ; o.stamps[j] != 0; j = (j + 1) & mask {
+			if keys[o.stamps[j]-1] == k {
+				return k, true
 			}
-			used[idx] = true
-		} else {
-			if small[idx] {
-				return false
-			}
-			small[idx] = true
 		}
+		o.stamps[j] = uint32(i + 1)
+	}
+	clear(o.stamps)
+	return 0, false
+}
+
+// shift reports whether (k >> a) & mask is distinct over keys.
+func (o *occupancy) shift(keys []uint64, a uint, mask uint64) bool {
+	o.gen++
+	g, t := o.gen, o.stamps
+	for _, k := range keys {
+		i := (k >> a) & mask
+		if t[i] == g {
+			return false
+		}
+		t[i] = g
+	}
+	return true
+}
+
+// xor reports whether ((k >> a) ^ (k >> c)) & mask is distinct over keys.
+func (o *occupancy) xor(keys []uint64, a, c uint, mask uint64) bool {
+	o.gen++
+	g, t := o.gen, o.stamps
+	for _, k := range keys {
+		i := ((k >> a) ^ (k >> c)) & mask
+		if t[i] == g {
+			return false
+		}
+		t[i] = g
+	}
+	return true
+}
+
+// mul reports whether ((k * m) >> s) & mask is distinct over keys.
+func (o *occupancy) mul(keys []uint64, m uint64, s uint, mask uint64) bool {
+	o.gen++
+	g, t := o.gen, o.stamps
+	for _, k := range keys {
+		i := ((k * m) >> s) & mask
+		if t[i] == g {
+			return false
+		}
+		t[i] = g
 	}
 	return true
 }

@@ -1,9 +1,15 @@
 package hashgen
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"msc/internal/simd"
 )
 
 func TestListing5Keys(t *testing.T) {
@@ -73,6 +79,205 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Find([]uint64{5, 5}); err == nil {
 		t.Fatal("duplicate keys accepted")
+	}
+	// The first repeat is reported, before any candidate is tested.
+	_, tried, err := Search([]uint64{1, 7, 3, 9, 3, 7})
+	if err == nil || tried != 0 || !strings.Contains(err.Error(), "duplicate key 0x3") {
+		t.Fatalf("Search with duplicates: tried %d, err %v; want duplicate key 0x3 and no candidates", tried, err)
+	}
+}
+
+// referenceSearch is the candidate loop Search replaced, kept as its
+// oracle: one *simd.HashFn per candidate, in the documented order, each
+// checked with HashFn.Index. Keys must be distinct and at most 2^16.
+func referenceSearch(keys []uint64) (*simd.HashFn, int) {
+	tried := 0
+	minBits := bits.Len(uint(len(keys) - 1))
+	perfect := func(h *simd.HashFn) bool {
+		tried++
+		used := make(map[uint64]bool, len(keys))
+		for _, k := range keys {
+			idx := h.Index(k)
+			if used[idx] {
+				return false
+			}
+			used[idx] = true
+		}
+		return true
+	}
+	for b := minBits; b <= minBits+4 && b <= 16; b++ {
+		mask := uint64(1)<<uint(b) - 1
+		for a := 0; a < 64; a++ {
+			if h := (&simd.HashFn{ShiftA: a, Mask: mask, EvalCost: costShift}); perfect(h) {
+				return h, tried
+			}
+		}
+		for a := 0; a < 64; a++ {
+			for c := a + 1; c < 64; c++ {
+				h := &simd.HashFn{ShiftA: a, ShiftB: c, UseB: true, Mask: mask, EvalCost: costXor}
+				if perfect(h) {
+					return h, tried
+				}
+			}
+		}
+		for _, m := range multipliers {
+			for s := 64 - b; s >= 32; s -= 4 {
+				h := &simd.HashFn{ShiftA: 64, UseMul: true, Mul: m, ShiftM: s, Mask: mask, EvalCost: costMul}
+				if perfect(h) {
+					return h, tried
+				}
+			}
+		}
+	}
+	return nil, tried
+}
+
+// sparseKeys draws n distinct aggregate-like words with 1..maxBits set
+// bits among the low width bits.
+func sparseKeys(r *rand.Rand, n, width, maxBits int) []uint64 {
+	keys := make([]uint64, 0, n)
+	seen := map[uint64]bool{}
+	for len(keys) < n {
+		var w uint64
+		for i := r.Intn(maxBits); i >= 0; i-- {
+			w |= 1 << uint(r.Intn(width))
+		}
+		if !seen[w] {
+			seen[w] = true
+			keys = append(keys, w)
+		}
+	}
+	return keys
+}
+
+// checkAgainstReference fails unless Search returns the reference's
+// function fields and tried count on keys.
+func checkAgainstReference(t *testing.T, name string, keys []uint64) {
+	t.Helper()
+	want, wantTried := referenceSearch(keys)
+	got, tried, err := Search(keys)
+	if tried != wantTried {
+		t.Fatalf("%s: tried = %d, reference tried %d", name, tried, wantTried)
+	}
+	if (err != nil) != (want == nil) {
+		t.Fatalf("%s: err = %v, reference found %v", name, err, want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Search = %+v, reference = %+v", name, got, want)
+	}
+	if got != nil {
+		// The specialised loops must agree with HashFn.Index itself.
+		used := map[uint64]bool{}
+		for _, k := range keys {
+			i := got.Index(k)
+			if i > got.Mask || used[i] {
+				t.Fatalf("%s: %v is not perfect under Index", name, got)
+			}
+			used[i] = true
+		}
+	}
+}
+
+func TestSearchMatchesReferenceSmall(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	forms := map[int]int{}
+	for i := 0; i < 300; i++ {
+		n := 1 + r.Intn(32)
+		keys := sparseKeys(r, n, 64, 1+r.Intn(24))
+		checkAgainstReference(t, fmt.Sprintf("set %d (%d keys)", i, n), keys)
+		if h, _ := Find(keys); h != nil {
+			forms[h.EvalCost]++
+		}
+	}
+	// The sets must exercise all three forms, or the comparison proves
+	// less than it claims.
+	for _, cost := range []int{costShift, costXor, costMul} {
+		if forms[cost] == 0 {
+			t.Errorf("no random set chose the cost-%d form (forms %v)", cost, forms)
+		}
+	}
+}
+
+func TestSearchMatchesReferenceWideTables(t *testing.T) {
+	// 65..200 keys need tables of 128 entries or more, the sizes the
+	// old search checked through a map.
+	r := rand.New(rand.NewSource(2))
+	found := 0
+	for i := 0; i < 12; i++ {
+		n := 65 + r.Intn(136)
+		keys := sparseKeys(r, n, 64, 6)
+		checkAgainstReference(t, fmt.Sprintf("set %d (%d keys)", i, n), keys)
+		if _, err := Find(keys); err == nil {
+			found++
+		}
+	}
+	if found == 0 || found == 12 {
+		t.Fatalf("%d of 12 wide sets found a hash; want both outcomes compared", found)
+	}
+}
+
+func TestSearchNoPerfectHash(t *testing.T) {
+	// 5000 random keys: no candidate separates them at any table size,
+	// and the table-size loop stops at the 2^16 cap, below the
+	// 2^(minBits+4) = 2^17 the search would otherwise reach.
+	r := rand.New(rand.NewSource(3))
+	keys := make([]uint64, 5000)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	checkAgainstReference(t, "5000 random keys", keys)
+	_, tried, err := Search(keys)
+	if err == nil {
+		t.Fatal("found a perfect hash for 5000 random keys")
+	}
+	// 4 table sizes (2^13..2^16) × (64 shifts + 2016 xors + 5 multipliers × 5 shifts).
+	if want := 4 * (64 + 2016 + 25); tried != want {
+		t.Fatalf("tried = %d, want %d", tried, want)
+	}
+	if !strings.Contains(err.Error(), "within table size 2^16") {
+		t.Fatalf("error %q does not name the largest table tried, 2^16", err)
+	}
+}
+
+func TestSearchRejectsOversizedKeySet(t *testing.T) {
+	keys := make([]uint64, 70000)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	h, tried, err := Search(keys)
+	if err == nil || h != nil || tried != 0 {
+		t.Fatalf("Search(70000 keys) = %v, tried %d, err %v; want an up-front error", h, tried, err)
+	}
+	if !strings.Contains(err.Error(), "70000 keys") || !strings.Contains(err.Error(), "2^16") {
+		t.Fatalf("error %q does not name the key count and the 2^16 limit", err)
+	}
+	// The limit itself is accepted: 2^16 consecutive keys are a minimal
+	// perfect hash under the identity shift.
+	h, tried, err = Search(keys[:1<<16])
+	if err != nil || tried != 1 || h.Mask != 1<<16-1 {
+		t.Fatalf("Search(65536 keys) = %v, tried %d, err %v; want the identity shift", h, tried, err)
+	}
+}
+
+func TestSearchAllocations(t *testing.T) {
+	// A 32-key search allocates the occupancy table and the winner, no
+	// matter how many candidates it tests first.
+	cheap := make([]uint64, 32)
+	for i := range cheap {
+		cheap[i] = uint64(i) // the identity shift, the first candidate
+	}
+	var costly []uint64
+	for r := rand.New(rand.NewSource(4)); costly == nil; {
+		keys := sparseKeys(r, 32, 64, 3)
+		if _, tried, err := Search(keys); err == nil && tried > 2000 {
+			costly = keys
+		}
+	}
+	for name, keys := range map[string][]uint64{"cheap": cheap, "costly": costly} {
+		_, tried, _ := Search(keys)
+		if allocs := testing.AllocsPerRun(20, func() { _, _, _ = Search(keys) }); allocs != 2 {
+			t.Errorf("%s search (%d candidates) allocated %v objects, want 2", name, tried, allocs)
+		}
 	}
 }
 

@@ -135,14 +135,21 @@ func (a *Automaton) RawSuccessors(set *bitset.Set) []*bitset.Set {
 	a.expMu.Lock()
 	defer a.expMu.Unlock()
 	if a.exp == nil {
-		memo := a.memo
-		if memo == nil {
-			memo = &contribMemo{}
-			memo.update(a.G, a.Barriers, a.Opt)
-		}
-		a.exp = newExpander(a.G, a.Barriers, a.Opt, memo, nil)
+		a.exp = a.newExpander()
 	}
 	return a.exp.expand(set).raw
+}
+
+// newExpander returns an expander over the automaton's graph and
+// options, reusing the conversion's contribution memo when the
+// automaton has one (an automaton decoded from an artifact does not).
+func (a *Automaton) newExpander() *expander {
+	memo := a.memo
+	if memo == nil {
+		memo = &contribMemo{}
+		memo.update(a.G, a.Barriers, a.Opt)
+	}
+	return newExpander(a.G, a.Barriers, a.Opt, memo, nil)
 }
 
 // Reindex rebuilds the hash-consed set→ID index from States. Conversion

@@ -2,23 +2,10 @@ package msc
 
 import (
 	"fmt"
+	"slices"
 
 	"msc/internal/bitset"
 )
-
-// barrierSync implements the §2.6 filter: if every MIMD state in s is a
-// barrier-wait state, all processors have arrived and the barrier
-// releases (the all-barrier meta state is entered); otherwise the
-// barrier states are removed — those PEs wait while the rest proceed.
-// (The conversion hot path inlines this with scratch reuse in
-// converter.commit; this allocating form serves the checker.)
-func barrierSync(s, barriers *bitset.Set) *bitset.Set {
-	waits := s.Intersect(barriers)
-	if waits.Equal(s) {
-		return waits
-	}
-	return s.Minus(waits)
-}
 
 // Check validates the structural invariants of a converted automaton:
 //
@@ -49,11 +36,8 @@ func Check(a *Automaton) error {
 				return fmt.Errorf("msc: ms%d has dangling transition to %d", i, to)
 			}
 		}
-		if !a.Opt.BarrierExact && !a.Barriers.Empty() {
-			inter := s.Set.Intersect(a.Barriers)
-			if !inter.Empty() && !inter.Equal(s.Set) {
-				return fmt.Errorf("msc: ms%d %s mixes barrier and non-barrier states in paper mode", i, s.Set)
-			}
+		if !a.Opt.BarrierExact && s.Set.Intersects(a.Barriers) && !s.Set.Subset(a.Barriers) {
+			return fmt.Errorf("msc: ms%d %s mixes barrier and non-barrier states in paper mode", i, s.Set)
 		}
 		if a.Opt.Compress {
 			// Unconditional except for barrier-release arcs (§3.2.4): at
@@ -73,30 +57,54 @@ func Check(a *Automaton) error {
 	// Dispatch closure: recompute each state's successor aggregates and
 	// confirm each filtered target is a recorded transition. With
 	// MergeSubsets, a superset target is acceptable.
+	//
+	// Without MergeSubsets the loop above has proved a.Find(t.Set) == t
+	// for every state t, so Find is one-to-one: a transition's set
+	// equals the target exactly when Find(target) is that transition's
+	// state. One index probe and one mark test then replace a set
+	// comparison per arc. MergeSubsets skips that proof and accepts
+	// supersets, so it keeps the scan.
+	e := a.newExpander() // the check's own, so its sets can be recycled
+	n := len(a.G.Blocks)
+	waits, filtered := bitset.New(n), bitset.New(n)
+	onTrans := make([]int, len(a.States)) // onTrans[t] == s.ID+1: s has an arc to t
 	for _, s := range a.States {
-		for _, raw := range a.RawSuccessors(s.Set) {
+		for _, to := range s.Trans {
+			onTrans[to] = s.ID + 1
+		}
+		raws, _ := e.product(s.Set)
+		for _, raw := range raws {
 			if raw.Empty() {
 				if !s.Exit && !a.Opt.MergeSubsets {
 					return fmt.Errorf("msc: ms%d can complete but has no exit flag", s.ID)
 				}
 				continue
 			}
+			// §2.6 filter: an all-barrier aggregate releases the
+			// barrier; otherwise its barrier waits are removed (those
+			// PEs wait while the rest proceed).
 			target := raw
 			if !a.Opt.BarrierExact {
-				target = barrierSync(raw, a.Barriers)
-			}
-			found := false
-			for _, to := range s.Trans {
-				tset := a.States[to].Set
-				if tset.Equal(target) || (a.Opt.MergeSubsets && target.Subset(tset)) {
-					found = true
-					break
+				waits.IntersectOf(raw, a.Barriers)
+				if !waits.Equal(raw) {
+					filtered.MinusOf(raw, waits)
+					target = filtered
 				}
 			}
-			if !found {
+			var covered bool
+			if a.Opt.MergeSubsets {
+				covered = slices.ContainsFunc(s.Trans, func(to int) bool { return target.Subset(a.States[to].Set) })
+			} else {
+				t := a.Find(target)
+				covered = t != nil && onTrans[t.ID] == s.ID+1
+			}
+			if !covered {
 				return fmt.Errorf("msc: ms%d %s has uncovered successor aggregate %s (target %s)",
 					s.ID, s.Set, raw, target)
 			}
+		}
+		for _, raw := range raws {
+			e.put(raw)
 		}
 	}
 	return nil

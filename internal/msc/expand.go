@@ -221,12 +221,25 @@ func (e *expander) contribFor(id int, within *bitset.Set) ([]*bitset.Set, bool) 
 }
 
 // expand enumerates every distinct aggregate successor set of a meta
-// state: the §2.3 reach recursion expressed as a deduplicated cartesian
-// product of each member state's possible contributions. The result is
-// sorted in canonical order, so it is deterministic regardless of which
-// worker ran the expansion; ownership of the result sets passes to the
-// caller (commit retires them into the pool).
+// state (see product). The result is sorted in canonical order, so it is
+// deterministic regardless of which worker ran the expansion; ownership
+// of the result sets passes to the caller (commit retires them into the
+// pool).
 func (e *expander) expand(set *bitset.Set) expansion {
+	cur, overApprox := e.product(set)
+	bitset.Sort(cur)
+	raw := make([]*bitset.Set, len(cur))
+	copy(raw, cur)
+	return expansion{raw: raw, overApprox: overApprox}
+}
+
+// product enumerates every distinct aggregate successor set of a meta
+// state: the §2.3 reach recursion expressed as a deduplicated cartesian
+// product of each member state's possible contributions. The sets come
+// in enumeration order, in a slice the expander reuses on its next call;
+// the caller owns the sets. It also reports whether a contribution
+// over-approximated.
+func (e *expander) product(set *bitset.Set) ([]*bitset.Set, bool) {
 	cur, nxt := e.cur[:0], e.nxt[:0]
 	s0 := e.get()
 	s0.Reset()
@@ -253,9 +266,6 @@ func (e *expander) expand(set *bitset.Set) expansion {
 		}
 		cur, nxt = nxt, cur
 	})
-	bitset.Sort(cur)
-	raw := make([]*bitset.Set, len(cur))
-	copy(raw, cur)
 	e.cur, e.nxt = cur[:0], nxt[:0]
-	return expansion{raw: raw, overApprox: overApprox}
+	return cur, overApprox
 }
