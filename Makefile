@@ -72,38 +72,22 @@ vet-examples:
 	go run ./cmd/msc vet $$files
 
 # Optimizer structural gate: the per-corpus base-vs-Opt:2 state and
-# meta-state table must match testdata/opt/goldens.txt byte for byte,
-# and the Opt:2 build must be observationally identical to Opt:0 on
-# the corpus, the workload suite, and the fixed progen fleet.
-# Regenerate the table deliberately with UPDATE_OPT_GOLDENS=1.
+# meta-state table, plus the exact state and cycle counts of the
+# benchmark suite and the SIMD width sweep, must match
+# testdata/opt/goldens.txt byte for byte, and the Opt:2 build must be
+# observationally identical to Opt:0 on the corpus, the workload suite,
+# and the fixed progen fleet. Regenerate the table deliberately with
+# UPDATE_OPT_GOLDENS=1.
 opt-goldens:
 	go test -run 'TestOptGoldens|TestOptDifferential' .
 
 cover:
 	go test -cover ./...
 
-# Full benchmark run: the Go benchmark suite (wall/alloc numbers), a
-# fresh machine-readable report including the width-scaling sweep
-# (16 → 1M PEs), and regression gates against the pinned baselines:
-# the seed at the default 10% tolerance, and the post-telemetry
-# baseline (BENCH_pr4.json, pre-telemetry) at 2% on the deterministic
-# metrics — the disabled telemetry path must not change a single state
-# or cycle count. BENCH_pr8.json (post-optimizer) adds the
-# opt_meta_states column; BENCH_pr9.json (post-vectorization) adds the
-# sweep rows, hard-gating the deterministic pe_steps and
-# cycles_per_pe_step_milli columns while the wall-time speedups warn
-# only (benchdiff -wall-tol gates walls on quiet machines);
-# BENCH_pr10.json (post-cache) adds the compile_cold_ns /
-# compile_cached_ns / cache_speedup columns and the suite
-# cache_hit_rate, all warn-only wall metrics. See docs/PERFORMANCE.md.
+# Go benchmarks only (wall and alloc numbers; -run '^$' skips the
+# tests). The repository benchmark is `bash perfbench/run.sh`.
 bench:
-	go test -bench=. -benchmem ./...
-	go run ./cmd/mscbench -json BENCH_current.json -widths=16,1024,65536,1048576
-	go run ./cmd/benchdiff BENCH_seed.json BENCH_current.json
-	go run ./cmd/benchdiff -tol 2 BENCH_pr4.json BENCH_current.json
-	go run ./cmd/benchdiff BENCH_pr8.json BENCH_current.json
-	go run ./cmd/benchdiff BENCH_pr9.json BENCH_current.json
-	go run ./cmd/benchdiff BENCH_pr10.json BENCH_current.json
+	go test -run '^$$' -bench . -benchmem ./...
 
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=60s ./internal/mimdc/

@@ -12,20 +12,16 @@
 //	mscbench -o EXPERIMENTS.md -header
 //	                         write the markdown report to a file with
 //	                         the standard preamble
-//	mscbench -json out.json  run the workload suite on all three engines
-//	                         and write machine-readable per-workload
-//	                         results (cycles, speedups, compile metrics)
 //	mscbench -pprof :6060    serve net/http/pprof and expvar while the
 //	                         experiments run
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"msc/internal/harness"
@@ -61,8 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out       = fs.String("o", "", "write the report to a file instead of stdout")
 		header    = fs.Bool("header", false, "prepend the EXPERIMENTS.md preamble")
 		ablations = fs.Bool("ablations", true, "include the design-choice ablation studies")
-		jsonOut   = fs.String("json", "", "write machine-readable workload-suite results to this file ('-' for stdout)")
-		widths    = fs.String("widths", "", "comma-separated machine widths (e.g. 16,1024,65536,1048576): append the SIMD VM width-scaling sweep rows to the -json report")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,110 +72,58 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (expvar at /debug/vars)\n", srv.Addr())
 	}
 
-	if *jsonOut != "" {
-		ws, err := parseWidths(*widths)
-		if err != nil {
-			return err
-		}
-		return benchJSON(*jsonOut, ws, stdout, stderr)
-	}
-	if *widths != "" {
-		return fmt.Errorf("-widths requires -json (the sweep emits machine-readable rows)")
-	}
-
-	w := stdout
+	dst, closeDst := stdout, func() error { return nil }
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		dst, closeDst = f, f.Close
 	}
-	if *header {
-		fmt.Fprint(w, preamble)
-	}
-
-	experiments := harness.All()
-	if *ablations {
-		experiments = harness.AllWithAblations()
-	}
-
+	// Buffering makes a failed write visible: bufio keeps the first
+	// write error and Flush returns it, so a full disk cannot leave a
+	// truncated report behind a success message.
+	w := bufio.NewWriter(dst)
 	start := time.Now()
-	if *only != "" {
-		for _, e := range experiments {
-			if e.ID == *only {
-				fmt.Fprintf(w, "## %s — %s\n\nReproduces: %s.\n\n", e.ID, e.Title, e.Paper)
-				if err := e.Run(w); err != nil {
-					return err
-				}
-				fmt.Fprintf(stderr, "mscbench: %s ok (%.1fs)\n", e.ID, time.Since(start).Seconds())
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown experiment %q", *only)
+	done, err := report(w, *only, *header, *ablations)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
 	}
-
-	for _, e := range experiments {
-		fmt.Fprintf(w, "## %s — %s\n\nReproduces: %s.\n\n", e.ID, e.Title, e.Paper)
-		if err := e.Run(w); err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		fmt.Fprintln(w)
+	if cerr := closeDst(); err == nil {
+		err = cerr
 	}
-	fmt.Fprintf(stderr, "mscbench: all %d experiments ok (%.1fs)\n",
-		len(experiments), time.Since(start).Seconds())
-	return nil
-}
-
-// benchJSON runs the workload suite on all three engines and writes the
-// per-workload results as JSON to path ('-' means stdout). A non-empty
-// widths list appends the width-scaling sweep rows (see
-// harness.BenchSweep); they carry SIMD-only metrics, so consumers that
-// require all-engine columns must filter on them (or not pass -widths).
-func benchJSON(path string, widths []int, stdout, stderr io.Writer) error {
-	start := time.Now()
-	rep, err := harness.Bench()
 	if err != nil {
 		return err
 	}
-	if len(widths) > 0 {
-		rows, err := harness.BenchSweep(widths)
-		if err != nil {
-			return err
-		}
-		rep.Results = append(rep.Results, rows...)
-	}
-	w := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.WriteJSON(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "mscbench: %d workloads benchmarked (%.1fs)\n",
-		len(rep.Results), time.Since(start).Seconds())
+	fmt.Fprintf(stderr, "mscbench: %s (%.1fs)\n", done, time.Since(start).Seconds())
 	return nil
 }
 
-// parseWidths parses the -widths flag: a comma-separated list of
-// positive machine widths, empty meaning no sweep.
-func parseWidths(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+// report writes the experiment named by only, or every experiment when
+// only is empty, to w and returns a one-line summary of what passed.
+func report(w io.Writer, only string, header, ablations bool) (string, error) {
+	if header {
+		fmt.Fprint(w, preamble)
 	}
-	var widths []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-widths: %q is not a positive width", part)
+	experiments := harness.All()
+	if ablations {
+		experiments = harness.AllWithAblations()
+	}
+	for _, e := range experiments {
+		if only != "" && e.ID != only {
+			continue
 		}
-		widths = append(widths, n)
+		fmt.Fprintf(w, "## %s — %s\n\nReproduces: %s.\n\n", e.ID, e.Title, e.Paper)
+		if err := e.Run(w); err != nil {
+			return "", fmt.Errorf("experiment %s: %w", e.ID, err)
+		}
+		if only != "" {
+			return e.ID + " ok", nil
+		}
+		fmt.Fprintln(w)
 	}
-	return widths, nil
+	if only != "" {
+		return "", fmt.Errorf("unknown experiment %q", only)
+	}
+	return fmt.Sprintf("all %d experiments ok", len(experiments)), nil
 }

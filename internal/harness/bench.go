@@ -1,97 +1,5 @@
 package harness
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"time"
-
-	"msc"
-	"msc/internal/obs"
-	"msc/internal/simd"
-)
-
-// BenchResult is one workload's machine-readable measurement row: the
-// converted program's size and timing on all three engines, plus the
-// derived comparison ratios the evaluation quotes.
-type BenchResult struct {
-	Name          string `json:"name"`
-	Width         int    `json:"width"`
-	InitialActive int    `json:"initial_active,omitempty"`
-
-	MIMDStates int `json:"mimd_states"`
-	MetaStates int `json:"meta_states"`
-
-	SIMDCycles   int64 `json:"simd_cycles"`
-	MIMDCycles   int64 `json:"mimd_cycles"`
-	InterpCycles int64 `json:"interp_cycles"`
-
-	// SpeedupVsInterp is interp/simd: how much faster meta-state
-	// converted code is than the §1.1 interpreter baseline.
-	// SlowdownVsMIMD is simd/mimd: the residual cost against ideal MIMD.
-	SpeedupVsInterp float64 `json:"speedup_vs_interp"`
-	SlowdownVsMIMD  float64 `json:"slowdown_vs_mimd"`
-	// Utilization is the SIMD run's mean enabled-PE fraction.
-	Utilization float64 `json:"utilization"`
-
-	// Compile carries the full compile-phase metrics for the workload.
-	Compile *msc.CompileStats `json:"compile,omitempty"`
-
-	// Opt:2 comparison build. The differential gate proves the optimized
-	// build behaves identically; these fields quantify what it bought:
-	// OptMetaStates vs MetaStates is the automaton shrink, OptConvertNS
-	// vs ConvertNS the conversion-phase wall win (smaller graphs convert
-	// faster). OptCompile carries the optimized build's full metrics,
-	// including the per-pass rewrite counters.
-	OptMetaStates int               `json:"opt_meta_states,omitempty"`
-	ConvertNS     int64             `json:"convert_ns,omitempty"`
-	OptConvertNS  int64             `json:"opt_convert_ns,omitempty"`
-	OptCompile    *msc.CompileStats `json:"opt_compile,omitempty"`
-
-	// Artifact-cache columns (docs/CACHE.md). CompileColdNS is the
-	// workload's first compile against a fresh content-addressed cache
-	// (full pipeline plus the store write); CompileCachedNS is the
-	// immediately following warm hit served from the store (best of 5);
-	// CacheSpeedup is cold/warm. All wall numbers, so benchdiff warns
-	// on swings rather than gating.
-	CompileColdNS   int64   `json:"compile_cold_ns,omitempty"`
-	CompileCachedNS int64   `json:"compile_cached_ns,omitempty"`
-	CacheSpeedup    float64 `json:"cache_speedup,omitempty"`
-
-	// DegradeSteps and BudgetOverruns surface the robustness counters at
-	// the top level so benchdiff can gate on them: a workload that
-	// suddenly needs the degradation ladder (or trips a budget) is a
-	// regression even when its cycle counts look fine.
-	DegradeSteps   int64 `json:"degrade_steps"`
-	BudgetOverruns int64 `json:"budget_overruns"`
-
-	// Width-sweep rows only (BenchSweep; names look like "divergent@65536").
-	// PESteps is the total issued PE-cycle count N×Time — every PE pays
-	// every control cycle in SIMD — and CyclesPerPEStepMilli is issued
-	// millicycles per *enabled* PE-cycle (inverse utilization, ≥1000,
-	// lower is better). Both are deterministic and benchdiff gates them
-	// hard. SIMDWallNS and NSPerPEStepMilli (milli-ns of wall time per
-	// issued PE-cycle) are machine-noise wall numbers and only warn.
-	// RefWallNS and SpeedupVsRef compare against the retired scalar
-	// reference VM (simd.ReferenceRun) where it is cheap enough to run.
-	PESteps              int64   `json:"pe_steps,omitempty"`
-	CyclesPerPEStepMilli int64   `json:"cycles_per_pe_step_milli,omitempty"`
-	SIMDWallNS           int64   `json:"simd_wall_ns,omitempty"`
-	NSPerPEStepMilli     int64   `json:"ns_per_pe_step_milli,omitempty"`
-	RefWallNS            int64   `json:"ref_wall_ns,omitempty"`
-	SpeedupVsRef         float64 `json:"speedup_vs_ref,omitempty"`
-}
-
-// BenchReport is the whole suite's results in one JSON-encodable value.
-type BenchReport struct {
-	Config  string        `json:"config"`
-	Results []BenchResult `json:"results"`
-	// CacheHitRate is hits/(hits+misses) over the suite's whole cache
-	// traffic: one cold miss plus the warm repeats per workload.
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-}
-
 // BenchSuite is the benchmark corpus: the paper's workload suite plus
 // the optimizer-demonstration workloads, which carry the
 // statically-decidable branches the paper programs don't (their
@@ -104,150 +12,11 @@ func BenchSuite() []Workload {
 	)
 }
 
-// Bench compiles and runs every BenchSuite workload under DefaultConfig
-// on all three engines and collects the measurement rows.
-func Bench() (*BenchReport, error) {
-	rep := &BenchReport{Config: "default (compress+csi+hash)"}
-	cacheDir, err := os.MkdirTemp("", "mscbench-cache-")
-	if err != nil {
-		return nil, fmt.Errorf("bench: cache dir: %w", err)
-	}
-	defer os.RemoveAll(cacheDir)
-	cc, err := msc.OpenCache(cacheDir)
-	if err != nil {
-		return nil, fmt.Errorf("bench: cache: %w", err)
-	}
-	for _, wl := range BenchSuite() {
-		c, err := msc.Compile(wl.Source, msc.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: compile: %w", wl.Name, err)
-		}
-		rc := msc.RunConfig{N: wl.Width, InitialActive: wl.InitialActive}
-		simdRes, err := c.RunSIMD(rc)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: simd: %w", wl.Name, err)
-		}
-		mimdRes, err := c.RunMIMD(rc)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: mimd: %w", wl.Name, err)
-		}
-		interpRes, err := c.RunInterp(rc)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: interp: %w", wl.Name, err)
-		}
-		r := BenchResult{
-			Name:          wl.Name,
-			Width:         wl.Width,
-			InitialActive: wl.InitialActive,
-			MIMDStates:    c.MIMDStates(),
-			MetaStates:    c.MetaStates(),
-			SIMDCycles:    simdRes.Time,
-			MIMDCycles:    mimdRes.Time,
-			InterpCycles:  interpRes.Time,
-			Utilization:   simdRes.Utilization(wl.Width),
-			Compile:       c.Stats,
-		}
-		if c.Stats != nil {
-			r.DegradeSteps = c.Stats.DegradeSteps
-			r.BudgetOverruns = c.Stats.BudgetOverruns
-			r.ConvertNS = phaseWall(c.Stats, obs.PhaseConvert)
-		}
-		optConf := msc.DefaultConfig()
-		optConf.Opt = 2
-		oc, err := msc.Compile(wl.Source, optConf)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: opt compile: %w", wl.Name, err)
-		}
-		r.OptMetaStates = oc.MetaStates()
-		r.OptCompile = oc.Stats
-		if oc.Stats != nil {
-			r.OptConvertNS = phaseWall(oc.Stats, obs.PhaseConvert)
-		}
-		if simdRes.Time > 0 {
-			r.SpeedupVsInterp = float64(interpRes.Time) / float64(simdRes.Time)
-		}
-		if mimdRes.Time > 0 {
-			r.SlowdownVsMIMD = float64(simdRes.Time) / float64(mimdRes.Time)
-		}
-		cold, cached, err := cachedCompile(cc, wl.Source)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %w", wl.Name, err)
-		}
-		r.CompileColdNS, r.CompileCachedNS = cold, cached
-		if cached > 0 {
-			r.CacheSpeedup = float64(cold) / float64(cached)
-		}
-		rep.Results = append(rep.Results, r)
-	}
-	if st := cc.Stats(); st.Hits+st.Misses > 0 {
-		rep.CacheHitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
-	return rep, nil
-}
-
-// cachedCompile measures the artifact cache's effect on one workload:
-// the cold compile (pipeline plus store write, first sight of this
-// key) and the best-of-5 warm hit. Both verify the cache outcome they
-// claim to measure — a silent fall-through to an uncached compile
-// would otherwise time the wrong path and report speedup 1x.
-func cachedCompile(cc *msc.Cache, source string) (cold, cached int64, err error) {
-	conf := msc.DefaultConfig()
-	conf.Cache = cc
-	start := time.Now()
-	c, err := msc.Compile(source, conf)
-	cold = time.Since(start).Nanoseconds()
-	if err != nil {
-		return 0, 0, fmt.Errorf("cold cached compile: %w", err)
-	}
-	if got := cacheOutcome(c); got != "stored" {
-		return 0, 0, fmt.Errorf("cold compile cache outcome %q, want stored", got)
-	}
-	for rep := 0; rep < 5; rep++ {
-		start := time.Now()
-		wc, err := msc.Compile(source, conf)
-		d := time.Since(start).Nanoseconds()
-		if err != nil {
-			return 0, 0, fmt.Errorf("warm cached compile: %w", err)
-		}
-		if got := cacheOutcome(wc); got != "hit" {
-			return 0, 0, fmt.Errorf("warm compile cache outcome %q, want hit", got)
-		}
-		if cached == 0 || d < cached {
-			cached = d
-		}
-	}
-	return cold, cached, nil
-}
-
-func cacheOutcome(c *msc.Compiled) string {
-	if c.Stats == nil {
-		return ""
-	}
-	return c.Stats.CacheOutcome
-}
-
-// phaseWall returns the named phase's wall time from compile stats.
-func phaseWall(s *msc.CompileStats, phase string) int64 {
-	for _, p := range s.PhaseWall {
-		if p.Name == phase {
-			return int64(p.Wall)
-		}
-	}
-	return 0
-}
-
-// WriteJSON encodes the report as indented JSON.
-func (r *BenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // SweepWorkloads is the width-sweep corpus: workloads whose per-PE work
 // is independent of the machine width (every PE runs the same bounded
 // program regardless of N), so their rows measure the VM's width
 // scaling and nothing else. Collatz's trajectory lengths depend on
-// iproc, so it is capped — see sweepCollatzMaxWidth.
+// iproc, so the pinned sweep (TestOptGoldens) stops it at 65536 PEs.
 func SweepWorkloads() []Workload {
 	return []Workload{
 		{Name: "divergent", Source: Divergent},
@@ -255,77 +24,4 @@ func SweepWorkloads() []Workload {
 		{Name: "collatz", Source: Collatz},
 		{Name: "farm", Source: Farm, InitialActive: 1},
 	}
-}
-
-// sweepCollatzMaxWidth caps collatz in the sweep: its per-PE trip count
-// grows with iproc, so mega widths would dominate the sweep's wall time
-// without adding width-scaling signal.
-const sweepCollatzMaxWidth = 1 << 16
-
-// sweepRefMaxWidth caps the scalar-reference comparison column: the
-// retired per-PE VM is the denominator of SpeedupVsRef and is too slow
-// to be worth running above this width.
-const sweepRefMaxWidth = 1 << 16
-
-// BenchSweep runs the width sweep: every SweepWorkloads program at
-// every requested width on the vectorized SIMD VM, producing one
-// "name@width" row per combination. Cycle-domain metrics (PESteps,
-// CyclesPerPEStepMilli) are deterministic; wall metrics are best-of-3
-// to damp scheduler noise.
-func BenchSweep(widths []int) ([]BenchResult, error) {
-	var rows []BenchResult
-	for _, wl := range SweepWorkloads() {
-		c, err := msc.Compile(wl.Source, msc.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("sweep %s: compile: %w", wl.Name, err)
-		}
-		for _, n := range widths {
-			if wl.Name == "collatz" && n > sweepCollatzMaxWidth {
-				continue
-			}
-			conf := simd.Config{N: n, InitialActive: wl.InitialActive}
-			var res *simd.Result
-			wall := int64(-1)
-			for rep := 0; rep < 3; rep++ {
-				start := time.Now()
-				r, err := simd.Run(c.Program, conf)
-				d := time.Since(start).Nanoseconds()
-				if err != nil {
-					return nil, fmt.Errorf("sweep %s@%d: %w", wl.Name, n, err)
-				}
-				if wall < 0 || d < wall {
-					res, wall = r, d
-				}
-			}
-			row := BenchResult{
-				Name:          fmt.Sprintf("%s@%d", wl.Name, n),
-				Width:         n,
-				InitialActive: wl.InitialActive,
-				MIMDStates:    c.MIMDStates(),
-				MetaStates:    c.MetaStates(),
-				SIMDCycles:    res.Time,
-				Utilization:   res.Utilization(n),
-				PESteps:       int64(n) * res.Time,
-				SIMDWallNS:    wall,
-			}
-			if res.EnabledCycles > 0 {
-				row.CyclesPerPEStepMilli = 1000 * row.PESteps / res.EnabledCycles
-			}
-			if row.PESteps > 0 {
-				row.NSPerPEStepMilli = 1000 * wall / row.PESteps
-			}
-			if n <= sweepRefMaxWidth {
-				start := time.Now()
-				if _, err := simd.ReferenceRun(c.Program, conf); err != nil {
-					return nil, fmt.Errorf("sweep %s@%d: reference: %w", wl.Name, n, err)
-				}
-				row.RefWallNS = time.Since(start).Nanoseconds()
-				if wall > 0 {
-					row.SpeedupVsRef = float64(row.RefWallNS) / float64(wall)
-				}
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
 }
