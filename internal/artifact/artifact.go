@@ -183,10 +183,12 @@ func Decode(data []byte) (*Artifact, Key, error) {
 		id := r.uvarint()
 		n := r.uvarint()
 		crcWant := binary.LittleEndian.Uint32(r.bytes(4))
-		payload := r.bytes(int(n))
-		if r.err != nil {
+		// n is untrusted: compare it with what is left before it
+		// becomes an int, which a length past 2^63 would turn negative.
+		if r.err != nil || n > uint64(r.rem()) {
 			return nil, key, corrupt("truncated section %d", id)
 		}
+		payload := r.bytes(int(n))
 		if crc32.Checksum(payload, castagnoli) != crcWant {
 			return nil, key, corrupt("section %d checksum mismatch", id)
 		}
@@ -296,10 +298,13 @@ func (r *reader) fail(what string) {
 
 func (r *reader) rem() int { return len(r.data) - r.off }
 
+// bytes returns the next n bytes. On failure it returns 8 zero bytes,
+// enough for the fixed-width readers, and never allocates n: n may come
+// from untrusted input.
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil || n < 0 || r.rem() < n {
 		r.fail("bytes")
-		return make([]byte, n)
+		return make([]byte, 8)
 	}
 	b := r.data[r.off : r.off+n]
 	r.off += n

@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -26,7 +27,7 @@ const maxArtifactStates = 1 << 14
 // buildArtifact runs the internal pipeline (graph → automaton → SIMD
 // program) on source and wraps the results like the cache layer will.
 // It returns nil when conversion exceeds maxArtifactStates.
-func buildArtifact(t *testing.T, src string, compress, hash, csiOn bool) *Artifact {
+func buildArtifact(t testing.TB, src string, compress, hash, csiOn bool) *Artifact {
 	t.Helper()
 	g := cfg.MustBuild(src)
 	opt := metastate.DefaultOptions(compress)
@@ -191,6 +192,31 @@ func TestCorruptionDetected(t *testing.T) {
 		_, _, err := Decode(enc[:n])
 		if !errors.As(err, &ce) {
 			t.Fatalf("truncation to %d bytes: got %v, want *CorruptError", n, err)
+		}
+	}
+}
+
+// hugeSectionStream is a digest-valid stream whose one section header
+// declares n payload bytes and carries none.
+func hugeSectionStream(n uint64) []byte {
+	b := binary.AppendUvarint([]byte(magic), Version)
+	b = append(b, make([]byte, 64)...) // source hash, config fingerprint
+	b = binary.AppendUvarint(b, 1)     // one section
+	b = binary.AppendUvarint(b, secGraph)
+	b = binary.AppendUvarint(b, n)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return appendDigest(b)
+}
+
+// TestHugeSectionLengthIsCorrupt: a section length past the end of the
+// stream is corruption. It must not panic (2^63 is negative as an int)
+// or exhaust memory (a failed read must not allocate 2^40 bytes).
+func TestHugeSectionLengthIsCorrupt(t *testing.T) {
+	for _, n := range []uint64{1 << 63, 1 << 40} {
+		stream := hugeSectionStream(n)
+		var ce *CorruptError
+		if _, _, err := Decode(stream); !errors.As(err, &ce) || ce.Reason != fmt.Sprintf("truncated section %d", secGraph) {
+			t.Errorf("length %d (%d-byte stream): got %v, want truncated section %d", n, len(stream), err, secGraph)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -270,6 +272,47 @@ func TestSubstitutedObjectQuarantined(t *testing.T) {
 	var ce *mscerr.CacheError
 	if got != nil || !errors.As(err, &ce) || ce.Op != "quarantine" {
 		t.Fatalf("substituted Get = %v, %v; want quarantine", got, err)
+	}
+}
+
+// TestHugeSectionObjectQuarantined replaces an object with a
+// digest-valid stream whose one section header declares 2^63 or 2^40
+// payload bytes. Decoding must neither panic nor allocate the declared
+// length, which no recover could catch; Get must quarantine the object
+// like any corrupt one, for that truncated section: a stream the codec
+// rejects earlier (a changed magic or header) fails the test rather
+// than passing without reaching the section length.
+func TestHugeSectionObjectQuarantined(t *testing.T) {
+	for _, n := range []uint64{1 << 63, 1 << 40} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		a, key := testArtifact(t, 6)
+		if err := s.Put(key, a); err != nil {
+			t.Fatal(err)
+		}
+		b := binary.AppendUvarint([]byte("MSCART\x00"), artifact.Version)
+		b = append(b, key.SourceHash[:]...)
+		b = append(b, key.ConfigFP[:]...)
+		b = binary.AppendUvarint(b, 1) // one section: graph, n bytes, none present
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, n)
+		b = binary.LittleEndian.AppendUint32(b, 0)
+		digest := sha256.Sum256(b)
+		if err := os.WriteFile(filepath.Join(dir, objectsDir, Name(key)+objectExt), append(b, digest[:]...), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get(key)
+		var ce *mscerr.CacheError
+		if got != nil || !errors.As(err, &ce) || ce.Op != "quarantine" {
+			t.Fatalf("length %d: Get = %v, %v; want quarantine", n, got, err)
+		}
+		var corrupt *artifact.CorruptError
+		if !errors.As(err, &corrupt) || corrupt.Reason != "truncated section 1" {
+			t.Fatalf("length %d: quarantined for %v, want truncated section 1", n, ce.Err)
+		}
+		if q := dirCount(t, filepath.Join(dir, quarantineDir)); q != 1 {
+			t.Fatalf("length %d: %d quarantined files, want 1", n, q)
+		}
 	}
 }
 

@@ -15,227 +15,301 @@ import (
 // masks reflect committed pcs for the whole body — they ARE the latch —
 // which is what lets every slot's enable set be a word OR of its
 // guard's occupied member states.
+//
+// Slots execute in runs: each maximal sequence of chunk-local slots is
+// one forChunks pass in which a chunk executes the whole sequence in
+// slot order, so its PEs' stacks, memory rows and pcs stream through
+// the cache once per run instead of once per slot. A chunk-local slot
+// reads and writes only its own chunk's PEs, so every chunk reaches
+// each slot in the state slot-by-slot execution would leave it in. A
+// cross-chunk slot (see crossChunk) is a run of its own.
 func (m *vm) execBody(mc *MetaCode) error {
-	live := m.live
-	st := &m.res.MetaStats[mc.ID]
-	members := m.gm[mc.ID]
-	for si := range mc.Slots {
-		s := &mc.Slots[si]
-		cost := int64(s.Cost())
-		m.res.Time += cost
-		m.res.BodyCycles += cost
-		m.res.SlotExecs++
-		st.Cycles += cost
-		st.BodyCycles += cost
-		st.LivePECycles += cost * live
-		// Only this coordinator loop ever calls prof.Add — chunk workers
-		// touch per-chunk scratch, never the profiler — so the profiler's
-		// single-writer contract survives Workers > 1 untouched.
-		if m.prof != nil {
-			m.prof.Add(mc.ID, s.Block, s.Pos, cost)
+	n := len(mc.Slots)
+	for i := 0; i < n; {
+		j := i + 1
+		if !crossChunk(&mc.Slots[i]) {
+			for j < n && !crossChunk(&mc.Slots[j]) {
+				j++
+			}
 		}
-
-		e, en := m.enable(members[si])
-		m.res.EnabledCycles += cost * int64(en)
-		m.res.LiveIdleCycles += cost * (live - int64(en))
-		st.EnabledPECycles += cost * int64(en)
-		m.res.PEHist[PEHistIndex(m.n, en)] += cost
-		if en == 0 {
-			continue
-		}
-		if err := m.execSlot(s, e); err != nil {
+		if err := m.execRun(mc, i, j); err != nil {
 			return err
 		}
+		i = j
 	}
-	return m.commit()
+	if n == 0 || crossChunk(&mc.Slots[n-1]) {
+		// Otherwise the final run's pass committed each chunk.
+		m.forChunks(m.commitChunk)
+	}
+	m.commit()
+	return nil
 }
 
-// enable returns the slot's enable mask and census: the union of the
-// occupancy masks of the guard's occupied member states. Since every
-// live PE occupies exactly one MIMD state the masks are disjoint and
-// the census is a sum of occupancy counts — no popcount, and a slot
-// whose members are all empty is skipped without touching any mask.
-// Single-member guards alias the occupancy mask directly (slots never
-// mutate occupancy; only commit does).
-func (m *vm) enable(members []int) (bitset.Mask, int) {
+// crossChunk reports whether a slot touches PEs outside each enabled
+// PE's own chunk: spawn claims free PEs anywhere, StMono broadcasts to
+// every PE, and StRemote and LdRemote go through the router.
+func crossChunk(s *Slot) bool {
+	if s.Kind == SlotSpawn {
+		return true
+	}
+	op := s.Instr.Op
+	return s.Kind == SlotExec && (op == ir.StMono || op == ir.StRemote || op == ir.LdRemote)
+}
+
+// execRun executes body slots [i, j) — one cross-chunk slot or a run of
+// chunk-local ones — and then charges them. The failure reported is the
+// one at the lowest (slot, chunk), which is the one slot-by-slot
+// execution hits first, and charging stops at its slot, so the Result
+// and the Profiler see exactly the slots slot-by-slot execution charges.
+// A run that ends the body also commits each chunk at the end of its
+// pass, while the chunk's pcs are still in cache: no later slot can
+// write them, and the body saves a pass over every chunk.
+func (m *vm) execRun(mc *MetaCode, i, j int) error {
+	members := m.gm[mc.ID]
+	final := j == len(mc.Slots)
+	enabled := false
+	for si := i; si < j; si++ {
+		m.ens[si] = m.census(members[si])
+		enabled = enabled || m.ens[si] > 0
+	}
+	last, err := j-1, error(nil)
+	switch s := &mc.Slots[i]; {
+	case crossChunk(s):
+		if enabled {
+			err = m.execCross(s, m.enable(members[i], 0, m.nw))
+		}
+	case enabled || final:
+		var slot int
+		slot, err = m.forChunks(func(ws *wscratch, c int) error {
+			w0, w1 := m.chunkWords(c)
+			for si := i; si < j; si++ {
+				if m.ens[si] == 0 {
+					continue
+				}
+				if err := m.execLocal(&mc.Slots[si], m.enable(members[si], w0, w1), c); err != nil {
+					m.chunks[c].slot = si
+					return err
+				}
+			}
+			if final {
+				m.commitChunk(ws, c)
+			}
+			return nil
+		})
+		if err != nil {
+			last = slot
+		}
+	}
+	for si := i; si <= last; si++ {
+		m.charge(mc, si)
+	}
+	return err
+}
+
+// charge adds body slot si's cycles and enable census (m.ens[si]) to
+// the Result and the Profiler. Only the coordinator charges — chunk
+// workers never touch the profiler — so the profiler's single-writer
+// contract survives Workers > 1 untouched.
+func (m *vm) charge(mc *MetaCode, si int) {
+	s := &mc.Slots[si]
+	cost, en := int64(s.Cost()), m.ens[si]
+	m.res.Time += cost
+	m.res.BodyCycles += cost
+	m.res.SlotExecs++
+	m.res.EnabledCycles += cost * en
+	m.res.LiveIdleCycles += cost * (m.live - en)
+	m.res.PEHist[PEHistIndex(m.n, int(en))] += cost
+	st := &m.res.MetaStats[mc.ID]
+	st.Cycles += cost
+	st.BodyCycles += cost
+	st.LivePECycles += cost * m.live
+	st.EnabledPECycles += cost * en
+	if m.prof != nil {
+		m.prof.Add(mc.ID, s.Block, s.Pos, cost)
+	}
+}
+
+// census returns how many PEs a guard enables: the sum of its members'
+// occupancy counts. Every live PE occupies exactly one MIMD state, so
+// the members' masks are disjoint and no popcount is needed.
+func (m *vm) census(members []int) int64 {
 	en := int64(0)
-	first, occupied := -1, 0
+	for _, s := range members {
+		en += m.occCnt[s]
+	}
+	return en
+}
+
+// enable returns a guard's enable mask, valid over mask words [w0, w1):
+// the occupancy mask of its one occupied member itself, or the OR of
+// several written into m.enab. Chunks own disjoint words and run their
+// slots in order, so one scratch mask serves every chunk and slot of a
+// pass. Slots never mutate occupancy; only commit does.
+func (m *vm) enable(members []int, w0, w1 int) bitset.Mask {
+	var e bitset.Mask
+	occupied := 0
 	for _, s := range members {
 		if m.occCnt[s] == 0 {
 			continue
 		}
-		en += m.occCnt[s]
-		if first < 0 {
-			first = s
-		}
-		occupied++
-	}
-	if occupied == 0 {
-		return nil, 0
-	}
-	if occupied == 1 {
-		return m.occ[first], int(en)
-	}
-	e := m.enab
-	e.CopyFrom(m.occ[first])
-	for _, s := range members {
-		if s != first && m.occCnt[s] > 0 {
-			e.OrWith(m.occ[s])
+		switch occupied++; occupied {
+		case 1:
+			e = m.occ[s]
+		case 2:
+			m.enab[w0:w1].CopyFrom(e[w0:w1])
+			e = m.enab
+			fallthrough
+		default:
+			e[w0:w1].OrWith(m.occ[s][w0:w1])
 		}
 	}
-	return e, int(en)
+	return e
 }
 
-// execSlot executes one slot over the enable mask e. Chunk-local work
-// (own-PE stacks, own-PE memory, npc writes — chunks are word-aligned,
-// so dirty/npc words are never shared) runs through forChunks; effects
-// that cross chunks (spawn's free-PE claim, StMono's broadcast,
-// StRemote's router writes) are serialized or buffered per chunk and
-// replayed in chunk order so the outcome matches sequential ascending-
-// PE execution exactly.
-func (m *vm) execSlot(s *Slot, e bitset.Mask) error {
+// execLocal runs one chunk-local slot on chunk c's PEs enabled in e.
+// Chunks are word-aligned, so dirty and npc words are never shared.
+func (m *vm) execLocal(s *Slot, e bitset.Mask, c int) error {
+	if s.Kind == SlotExec {
+		return m.execInstr(s.Instr, e, c)
+	}
+	ch := &m.chunks[c]
+	w0, w1 := m.chunkWords(c)
+	p0, wd := ch.p0, ch.wd
+	slens, rlens, npcs := m.slens, m.rlens, m.npcs
 	switch s.Kind {
-	case SlotExec:
-		return m.execInstr(s.Instr, e)
-	case SlotSetPC:
-		to := int32(s.To)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				if ew == 0 {
-					continue
-				}
-				m.dirty[w] |= ew
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					m.npcs[base+b] = to
-				}
-			}
-			return nil
-		})
-	case SlotJumpF:
-		to, fto := int32(s.To), int32(s.FTo)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				if ew == 0 {
-					continue
-				}
-				m.dirty[w] |= ew
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe] - 1
-					if l < 0 {
-						return underflow(pe)
-					}
-					m.slens[pe] = l
-					cond := m.stacks[pe][l]
-					if ir.Truth(cond) {
-						m.npcs[pe] = to
-					} else {
-						m.npcs[pe] = fto
-					}
-				}
-			}
-			return nil
-		})
-	case SlotEnd:
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				if ew == 0 {
-					continue
-				}
-				m.dirty[w] |= ew
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					m.npcs[base+b] = PCDone
-				}
-			}
-			return nil
-		})
-	case SlotHalt:
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				if ew == 0 {
-					continue
-				}
-				m.dirty[w] |= ew
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					m.npcs[pe] = PCIdle
-					m.slens[pe] = 0
-					m.rlens[pe] = 0
-				}
-			}
-			return nil
-		})
-	case SlotRetBr:
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				if ew == 0 {
-					continue
-				}
-				m.dirty[w] |= ew
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.rlens[pe] - 1
-					if l < 0 {
-						return fmt.Errorf("PE %d return with empty return stack", pe)
-					}
-					m.rlens[pe] = l
-					m.npcs[pe] = m.rets[pe][l]
-				}
-			}
-			return nil
-		})
-	case SlotSpawn:
-		// Spawn claims free PEs in ascending order across the whole
-		// machine — inherently serial, so the coordinator runs it alone.
-		// The free cursor makes each claim O(words) worst case and O(1)
-		// amortized (see claimFree).
-		to, childTo := int32(s.To), int32(s.ChildTo)
-		for w := 0; w < m.nw; w++ {
+	case SlotSetPC, SlotEnd, SlotHalt:
+		to, halt := int32(s.To), s.Kind == SlotHalt
+		switch s.Kind {
+		case SlotEnd:
+			to = PCDone
+		case SlotHalt:
+			to = PCIdle
+		}
+		for w := w0; w < w1; w++ {
 			ew := e[w]
 			if ew == 0 {
 				continue
 			}
+			m.dirty[w] |= ew
 			base := w << 6
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
-				parent := base + b
-				child := m.claimFree()
-				if child < 0 {
-					return fmt.Errorf("spawn with no free processor (width %d)", m.n)
+				pe := base + b
+				npcs[pe] = to
+				if halt {
+					slens[pe], rlens[pe] = 0, 0
 				}
-				m.npcs[child] = childTo
-				m.dirty.Set(child)
-				m.npcs[parent] = to
-				m.dirty.Set(parent)
 			}
 		}
-		return nil
+	case SlotJumpF:
+		to, fto, stk := int32(s.To), int32(s.FTo), ch.stk
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			if ew == 0 {
+				continue
+			}
+			m.dirty[w] |= ew
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe] - 1
+				if l < 0 {
+					return underflow(pe)
+				}
+				slens[pe] = l
+				if ir.Truth(stk[int(l)*wd+pe-p0]) {
+					npcs[pe] = to
+				} else {
+					npcs[pe] = fto
+				}
+			}
+		}
+	case SlotRetBr:
+		ret := ch.ret
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			if ew == 0 {
+				continue
+			}
+			m.dirty[w] |= ew
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := rlens[pe] - 1
+				if l < 0 {
+					return fmt.Errorf("PE %d return with empty return stack", pe)
+				}
+				rlens[pe] = l
+				if l < retRows {
+					npcs[pe] = ret[int(l)*wd+pe-p0]
+				} else {
+					npcs[pe] = ch.retDeep[pe-p0][l-retRows]
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// pushRetDeep pushes return site r at depth l >= retRows onto the
+// private spill of the chunk's i-th PE. Reslicing to l-retRows drops
+// entries a halt abandoned.
+func (ch *chunk) pushRetDeep(i int, l, r int32) {
+	if ch.retDeep == nil {
+		ch.retDeep = make([][]int32, ch.wd)
+	}
+	ch.retDeep[i] = append(ch.retDeep[i][:l-retRows], r)
+}
+
+// execCross executes a cross-chunk slot over its enable mask e. Spawn
+// claims free PEs in ascending order across the whole machine, so the
+// coordinator runs it alone. The others pop chunk-parallel and buffer
+// their cross-chunk effects per chunk, replayed in chunk order, so the
+// outcome matches sequential ascending-PE execution exactly.
+func (m *vm) execCross(s *Slot, e bitset.Mask) error {
+	if s.Kind == SlotSpawn {
+		return m.spawn(s, e)
+	}
+	a, err := m.slotAddr(s.Instr.Imm)
+	if err != nil {
+		return err
+	}
+	switch s.Instr.Op {
+	case ir.StMono:
+		return m.stMono(a, e)
+	case ir.StRemote:
+		return m.stRemote(a, e)
+	}
+	return m.ldRemote(a, e)
+}
+
+// spawn sets each enabled parent's next pc to s.To and claims one free
+// PE per parent, in ascending parent order, whose next pc becomes
+// s.ChildTo. The free cursor makes each claim O(words) worst case and
+// O(1) amortized (see claimFree).
+func (m *vm) spawn(s *Slot, e bitset.Mask) error {
+	to, childTo := int32(s.To), int32(s.ChildTo)
+	for w := 0; w < m.nw; w++ {
+		ew := e[w]
+		base := w << 6
+		for ew != 0 {
+			b := bits.TrailingZeros64(ew)
+			ew &= ew - 1
+			parent := base + b
+			child := m.claimFree()
+			if child < 0 {
+				return fmt.Errorf("spawn with no free processor (width %d)", m.n)
+			}
+			m.npcs[child] = childTo
+			m.dirty.Set(child)
+			m.npcs[parent] = to
+			m.dirty.Set(parent)
+		}
 	}
 	return nil
 }
@@ -256,16 +330,13 @@ func (m *vm) claimFree() int {
 	return -1
 }
 
-// commit applies the body's latched pc updates: every dirty PE moves
-// occ/idle/done mask bits from its old pc to its new one, chunk-local
-// (words are not shared between chunks), with occupancy-count and
-// live-count deltas accumulated per worker and reduced by the
-// coordinator — the deltas commute, so worker interleaving cannot
-// affect the result.
-func (m *vm) commit() error {
-	if err := m.forChunks(m.commitChunk); err != nil {
-		return err
-	}
+// commit applies the body's latched pc updates. commitChunk moves
+// every dirty PE's occ/idle/done mask bits from its old pc to its new
+// one, chunk-local (words are not shared between chunks), with
+// occupancy-count and live-count deltas accumulated per worker; commit
+// then reduces those deltas on the coordinator — they commute, so
+// worker interleaving cannot affect the result.
+func (m *vm) commit() {
 	for _, ws := range m.wss {
 		if ws.cntTouched {
 			for s, d := range ws.cntDelta {
@@ -283,7 +354,6 @@ func (m *vm) commit() error {
 		}
 		ws.minIdleW = int(^uint(0) >> 1)
 	}
-	return nil
 }
 
 func (m *vm) commitChunk(ws *wscratch, c int) error {
@@ -333,39 +403,13 @@ func (m *vm) commitChunk(ws *wscratch, c int) error {
 	return nil
 }
 
-func (m *vm) push(pe int, w ir.Word) {
-	l := m.slens[pe]
-	if int(l) == len(m.stacks[pe]) {
-		m.growStack(pe)
-	}
-	m.stacks[pe][l] = w
-	m.slens[pe] = l + 1
-}
-
-func (m *vm) pop(pe int) (ir.Word, error) {
-	l := m.slens[pe] - 1
-	if l < 0 {
-		return 0, underflow(pe)
-	}
-	m.slens[pe] = l
-	return m.stacks[pe][l], nil
-}
-
-// growStack doubles pe's evaluation stack backing. The new slice is
-// private to the PE; the old slab window is simply abandoned. Safe from
-// chunk workers: each PE belongs to exactly one chunk.
-func (m *vm) growStack(pe int) {
-	old := m.stacks[pe]
-	ns := make([]ir.Word, 2*len(old))
-	copy(ns, old)
-	m.stacks[pe] = ns
-}
-
-func (m *vm) growRet(pe int) {
-	old := m.rets[pe]
-	ns := make([]int32, 2*len(old))
-	copy(ns, old)
-	m.rets[pe] = ns
+// grow doubles a chunk's evaluation-stack slab. Rows are depth-major,
+// so the old slab is the new one's prefix and every entry keeps its
+// index.
+func grow(s []ir.Word) []ir.Word {
+	ns := make([]ir.Word, 2*len(s))
+	copy(ns, s)
+	return ns
 }
 
 func (m *vm) slotAddr(addr int64) (int, error) {
@@ -379,97 +423,212 @@ func underflow(pe int) error {
 	return fmt.Errorf("PE %d evaluation stack underflow", pe)
 }
 
-// execInstr runs one instruction on every enabled PE, ascending within
-// each chunk. Ops that touch only a PE's own stack and memory row are
-// chunk-parallel as-is; ops with cross-PE writes (StMono, StRemote)
-// split into a chunk-parallel pop phase and a chunk-ordered replay so
-// write-conflict outcomes (highest PE wins) match sequential execution.
+// execInstr runs one chunk-local instruction on chunk c's PEs enabled
+// in e, ascending. PE pe's stack entry at depth d is
+// stk[d*wd+pe-p0]: one row per depth, so PEs at a common depth touch
+// consecutive words.
 //
 // Every case carries its own bit loop with the stack manipulation
 // fused: a binary op is one depth load, an in-place store over the
-// second operand, and one depth store — no push/pop calls, no slice
-// header writeback. This is the hottest code in the repo; measure
-// before restructuring. Underflow checks collapse to one front check
-// per PE, which reports the same error sequential pop-by-pop execution
-// would.
-func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
+// second operand, and one depth store — no push/pop calls. This is the
+// hottest code in the repo; measure before restructuring. Underflow
+// checks collapse to one front check per PE, which reports the same
+// error sequential pop-by-pop execution would. A static error (an
+// address out of range, an unknown opcode) is returned before any PE
+// runs, by every chunk alike, so execRun reports it at its slot just as
+// slot-by-slot execution does.
+func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
+	ch := &m.chunks[c]
+	w0, w1 := m.chunkWords(c)
+	p0, wd, stk := ch.p0, ch.wd, ch.stk
+	slens, mem, wpp := m.slens, m.mem, m.wpp
 	switch in.Op {
 	case ir.Nop:
-		return nil
-	case ir.PushC:
+	case ir.PushC, ir.NProc:
 		v := ir.Word(in.Imm)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			slens, stacks := m.slens, m.stacks
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := slens[pe]
-					if int(l) == len(stacks[pe]) {
-						m.growStack(pe)
-					}
-					stacks[pe][l] = v
-					slens[pe] = l + 1
+		if in.Op == ir.NProc {
+			v = ir.Word(m.n)
+		}
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				i := int(l)*wd + pe - p0
+				if i >= len(stk) {
+					stk = grow(stk)
+					ch.stk = stk
 				}
+				stk[i] = v
+				slens[pe] = l + 1
 			}
-			return nil
-		})
+		}
+	case ir.IProc:
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				i := int(l)*wd + pe - p0
+				if i >= len(stk) {
+					stk = grow(stk)
+					ch.stk = stk
+				}
+				stk[i] = ir.Word(pe)
+				slens[pe] = l + 1
+			}
+		}
 	case ir.Dup:
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
-					if l == 0 {
-						return underflow(pe)
-					}
-					if int(l) == len(m.stacks[pe]) {
-						m.growStack(pe)
-					}
-					st := m.stacks[pe]
-					st[l] = st[l-1]
-					m.slens[pe] = l + 1
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				if l == 0 {
+					return underflow(pe)
 				}
+				i := int(l)*wd + pe - p0
+				if i >= len(stk) {
+					stk = grow(stk)
+					ch.stk = stk
+				}
+				stk[i] = stk[i-wd]
+				slens[pe] = l + 1
 			}
-			return nil
-		})
+		}
 	case ir.Pop:
-		k := int32(in.Imm)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
-					if l < k {
-						return underflow(pe)
-					}
-					m.slens[pe] = l - k
+		// Like the reference, which pops Imm times: none for a
+		// negative count, and an underflow for any count past the
+		// depth, however large.
+		k := max(in.Imm, 0)
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				if int64(l) < k {
+					return underflow(pe)
 				}
+				slens[pe] = l - int32(k)
 			}
-			return nil
-		})
+		}
 	case ir.LdLocal, ir.LdMono:
 		a, err := m.slotAddr(in.Imm)
 		if err != nil {
 			return err
 		}
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			slens, stacks, mem, wpp := m.slens, m.stacks, m.mem, m.wpp
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				i := int(l)*wd + pe - p0
+				if i >= len(stk) {
+					stk = grow(stk)
+					ch.stk = stk
+				}
+				stk[i] = mem[pe*wpp+a]
+				slens[pe] = l + 1
+			}
+		}
+	case ir.StLocal:
+		a, err := m.slotAddr(in.Imm)
+		if err != nil {
+			return err
+		}
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe] - 1
+				if l < 0 {
+					return underflow(pe)
+				}
+				mem[pe*wpp+a] = stk[int(l)*wd+pe-p0]
+				slens[pe] = l
+			}
+		}
+	case ir.LdIndex:
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				if l == 0 {
+					return underflow(pe)
+				}
+				i := int(l-1)*wd + pe - p0
+				a, err := m.slotAddr(in.Imm + int64(stk[i]))
+				if err != nil {
+					return err
+				}
+				stk[i] = mem[pe*wpp+a] // in place: pop idx, push val
+			}
+		}
+	case ir.StIndex:
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := slens[pe]
+				if l < 2 {
+					return underflow(pe)
+				}
+				i := int(l-1)*wd + pe - p0
+				a, err := m.slotAddr(in.Imm + int64(stk[i-wd]))
+				if err != nil {
+					return err
+				}
+				mem[pe*wpp+a] = stk[i]
+				slens[pe] = l - 2
+			}
+		}
+	case ir.PushRet:
+		r, ret, rlens := int32(in.Imm), ch.ret, m.rlens
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := rlens[pe]
+				if l < retRows {
+					ret[int(l)*wd+pe-p0] = r
+				} else {
+					ch.pushRetDeep(pe-p0, l, r)
+				}
+				rlens[pe] = l + 1
+			}
+		}
+	default:
+		op := in.Op
+		switch {
+		case ir.IsBinary(op):
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -478,105 +637,15 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					ew &= ew - 1
 					pe := base + b
 					l := slens[pe]
-					if int(l) == len(stacks[pe]) {
-						m.growStack(pe)
-					}
-					stacks[pe][l] = mem[pe*wpp+a]
-					slens[pe] = l + 1
-				}
-			}
-			return nil
-		})
-	case ir.StLocal:
-		a, err := m.slotAddr(in.Imm)
-		if err != nil {
-			return err
-		}
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			slens, stacks, mem, wpp := m.slens, m.stacks, m.mem, m.wpp
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := slens[pe] - 1
-					if l < 0 {
-						return underflow(pe)
-					}
-					mem[pe*wpp+a] = stacks[pe][l]
-					slens[pe] = l
-				}
-			}
-			return nil
-		})
-	case ir.StMono:
-		return m.stMono(in, e)
-	case ir.LdIndex:
-		imm := in.Imm
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
-					if l == 0 {
-						return underflow(pe)
-					}
-					st := m.stacks[pe]
-					a, err := m.slotAddr(imm + int64(st[l-1]))
-					if err != nil {
-						return err
-					}
-					st[l-1] = m.mem[pe*m.wpp+a] // in place: pop idx, push val
-				}
-			}
-			return nil
-		})
-	case ir.StIndex:
-		imm := in.Imm
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
 					if l < 2 {
 						return underflow(pe)
 					}
-					st := m.stacks[pe]
-					v, idx := st[l-1], st[l-2]
-					a, err := m.slotAddr(imm + int64(idx))
-					if err != nil {
-						return err
-					}
-					m.mem[pe*m.wpp+a] = v
-					m.slens[pe] = l - 2
+					i := int(l-1)*wd + pe - p0
+					stk[i-wd] = ir.EvalBinary(op, stk[i-wd], stk[i])
+					slens[pe] = l - 1
 				}
 			}
-			return nil
-		})
-	case ir.LdRemote:
-		a, err := m.slotAddr(in.Imm)
-		if err != nil {
-			return err
-		}
-		// Router reads are simultaneous, and no PE's memory changes
-		// during this slot, so replacing the target with the fetched
-		// value in place is equivalent to the reference's gather-then-
-		// push.
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
+		case ir.IsUnary(op):
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w << 6
@@ -584,140 +653,28 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask) error {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1
 					pe := base + b
-					l := m.slens[pe]
+					l := slens[pe]
 					if l == 0 {
 						return underflow(pe)
 					}
-					st := m.stacks[pe]
-					st[l-1] = m.mem[peIndex(st[l-1], m.n)*m.wpp+a]
+					i := int(l-1)*wd + pe - p0
+					stk[i] = ir.EvalUnary(op, stk[i])
 				}
 			}
-			return nil
-		})
-	case ir.StRemote:
-		return m.stRemote(in, e)
-	case ir.IProc:
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
-					if int(l) == len(m.stacks[pe]) {
-						m.growStack(pe)
-					}
-					m.stacks[pe][l] = ir.Word(pe)
-					m.slens[pe] = l + 1
-				}
-			}
-			return nil
-		})
-	case ir.NProc:
-		v := ir.Word(m.n)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.slens[pe]
-					if int(l) == len(m.stacks[pe]) {
-						m.growStack(pe)
-					}
-					m.stacks[pe][l] = v
-					m.slens[pe] = l + 1
-				}
-			}
-			return nil
-		})
-	case ir.PushRet:
-		r := int32(in.Imm)
-		return m.forChunks(func(_ *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
-			for w := w0; w < w1; w++ {
-				ew := e[w]
-				base := w << 6
-				for ew != 0 {
-					b := bits.TrailingZeros64(ew)
-					ew &= ew - 1
-					pe := base + b
-					l := m.rlens[pe]
-					if int(l) == len(m.rets[pe]) {
-						m.growRet(pe)
-					}
-					m.rets[pe][l] = r
-					m.rlens[pe] = l + 1
-				}
-			}
-			return nil
-		})
-	default:
-		op := in.Op
-		switch {
-		case ir.IsBinary(op):
-			return m.forChunks(func(_ *wscratch, c int) error {
-				w0, w1 := m.chunkWords(c)
-				slens, stacks := m.slens, m.stacks
-				for w := w0; w < w1; w++ {
-					ew := e[w]
-					base := w << 6
-					for ew != 0 {
-						b := bits.TrailingZeros64(ew)
-						ew &= ew - 1
-						pe := base + b
-						l := slens[pe]
-						if l < 2 {
-							return underflow(pe)
-						}
-						st := stacks[pe]
-						st[l-2] = ir.EvalBinary(op, st[l-2], st[l-1])
-						slens[pe] = l - 1
-					}
-				}
-				return nil
-			})
-		case ir.IsUnary(op):
-			return m.forChunks(func(_ *wscratch, c int) error {
-				w0, w1 := m.chunkWords(c)
-				for w := w0; w < w1; w++ {
-					ew := e[w]
-					base := w << 6
-					for ew != 0 {
-						b := bits.TrailingZeros64(ew)
-						ew &= ew - 1
-						pe := base + b
-						l := m.slens[pe]
-						if l == 0 {
-							return underflow(pe)
-						}
-						st := m.stacks[pe]
-						st[l-1] = ir.EvalUnary(op, st[l-1])
-					}
-				}
-				return nil
-			})
+		default:
+			return fmt.Errorf("unknown opcode %v", in.Op)
 		}
-		return fmt.Errorf("unknown opcode %v", in.Op)
 	}
+	return nil
 }
 
 // stMono pops on every enabled PE (chunk-parallel, recording each
 // chunk's last popped value), reduces chunk-ascending so the highest
 // enabled PE's value wins exactly as in sequential execution, then
 // broadcasts it to every PE's memory row chunk-parallel.
-func (m *vm) stMono(in ir.Instr, e bitset.Mask) error {
-	a, err := m.slotAddr(in.Imm)
-	if err != nil {
-		return err
-	}
-	err = m.forChunks(func(_ *wscratch, c int) error {
+func (m *vm) stMono(a int, e bitset.Mask) error {
+	_, err := m.forChunks(func(_ *wscratch, c int) error {
+		ch := &m.chunks[c]
 		w0, w1 := m.chunkWords(c)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
@@ -730,48 +687,42 @@ func (m *vm) stMono(in ir.Instr, e bitset.Mask) error {
 				if l < 0 {
 					return underflow(pe)
 				}
-				m.monoVal[c] = m.stacks[pe][l]
-				m.monoAny[c] = true
+				ch.monoVal = ch.stk[int(l)*ch.wd+pe-ch.p0]
+				ch.monoAny = true
 				m.slens[pe] = l
 			}
 		}
 		return nil
 	})
 	var val ir.Word
-	for c := 0; c < m.nChunks; c++ {
-		if m.monoAny[c] {
-			val = m.monoVal[c] // highest chunk with an enabled PE wins
-			m.monoAny[c] = false
+	for c := range m.chunks {
+		if ch := &m.chunks[c]; ch.monoAny {
+			val = ch.monoVal // highest chunk with an enabled PE wins
+			ch.monoAny = false
 		}
 	}
 	if err != nil {
 		return err
 	}
-	return m.forChunks(func(_ *wscratch, c int) error {
-		w0, w1 := m.chunkWords(c)
-		p0, p1 := w0<<6, w1<<6
-		if p1 > m.n {
-			p1 = m.n
-		}
-		for pe := p0; pe < p1; pe++ {
+	_, err = m.forChunks(func(_ *wscratch, c int) error {
+		ch := &m.chunks[c]
+		for pe := ch.p0; pe < ch.p0+ch.wd; pe++ {
 			m.mem[pe*m.wpp+a] = val
 		}
 		return nil
 	})
+	return err
 }
 
 // stRemote pops (value, target) on every enabled PE chunk-parallel,
 // buffering the router writes per chunk, then replays them in chunk
 // order on the coordinator — ascending-PE write order, so conflicting
 // stores resolve exactly as in sequential execution.
-func (m *vm) stRemote(in ir.Instr, e bitset.Mask) error {
-	a, err := m.slotAddr(in.Imm)
-	if err != nil {
-		return err
-	}
-	err = m.forChunks(func(_ *wscratch, c int) error {
-		buf := m.remBuf[c][:0]
-		defer func() { m.remBuf[c] = buf }()
+func (m *vm) stRemote(a int, e bitset.Mask) error {
+	_, err := m.forChunks(func(_ *wscratch, c int) error {
+		ch := &m.chunks[c]
+		buf := ch.rem[:0]
+		defer func() { ch.rem = buf }()
 		w0, w1 := m.chunkWords(c)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
@@ -784,10 +735,9 @@ func (m *vm) stRemote(in ir.Instr, e bitset.Mask) error {
 				if l < 2 {
 					return underflow(pe)
 				}
-				st := m.stacks[pe]
-				v, p := st[l-1], st[l-2]
+				i := int(l-1)*ch.wd + pe - ch.p0
 				m.slens[pe] = l - 2
-				buf = append(buf, remWrite{idx: peIndex(p, m.n)*m.wpp + a, val: v})
+				buf = append(buf, remWrite{idx: peIndex(ch.stk[i-ch.wd], m.n)*m.wpp + a, val: ch.stk[i]})
 			}
 		}
 		return nil
@@ -795,11 +745,40 @@ func (m *vm) stRemote(in ir.Instr, e bitset.Mask) error {
 	if err != nil {
 		return err
 	}
-	for c := 0; c < m.nChunks; c++ {
-		for _, rw := range m.remBuf[c] {
+	for c := range m.chunks {
+		ch := &m.chunks[c]
+		for _, rw := range ch.rem {
 			m.mem[rw.idx] = rw.val
 		}
-		m.remBuf[c] = m.remBuf[c][:0]
+		ch.rem = ch.rem[:0]
 	}
 	return nil
+}
+
+// ldRemote replaces each enabled PE's stack top, a PE number, with that
+// PE's word a. Router reads are simultaneous, and no PE's memory
+// changes during this slot, so replacing the target with the fetched
+// value in place is equivalent to the reference's gather-then-push.
+func (m *vm) ldRemote(a int, e bitset.Mask) error {
+	_, err := m.forChunks(func(_ *wscratch, c int) error {
+		ch := &m.chunks[c]
+		w0, w1 := m.chunkWords(c)
+		for w := w0; w < w1; w++ {
+			ew := e[w]
+			base := w << 6
+			for ew != 0 {
+				b := bits.TrailingZeros64(ew)
+				ew &= ew - 1
+				pe := base + b
+				l := m.slens[pe]
+				if l == 0 {
+					return underflow(pe)
+				}
+				i := int(l-1)*ch.wd + pe - ch.p0
+				ch.stk[i] = m.mem[peIndex(ch.stk[i], m.n)*m.wpp+a]
+			}
+		}
+		return nil
+	})
+	return err
 }

@@ -7,20 +7,16 @@ import (
 
 // wscratch is one worker's private accumulation between commits:
 // occupancy-count and live-count deltas (commutative, reduced by the
-// coordinator in any order), the lowest word where a PE newly went
-// idle (lowers the spawn free cursor), and the first error with the
-// chunk it came from.
+// coordinator in any order) and the lowest word where a PE newly went
+// idle (lowers the spawn free cursor).
 type wscratch struct {
 	cntDelta   []int64
 	cntTouched bool
 	liveDelta  int64
 	minIdleW   int
-
-	err      error
-	errChunk int
 }
 
-func newWScratch(nStates, nw int) *wscratch {
+func newWScratch(nStates int) *wscratch {
 	return &wscratch{
 		cntDelta: make([]int64, nStates),
 		minIdleW: int(^uint(0) >> 1),
@@ -34,14 +30,6 @@ func newWScratch(nStates, nw int) *wscratch {
 // dependency with another chunk, and all cross-chunk effects are
 // buffered per chunk and replayed in chunk-ID order by the coordinator
 // — results are byte-identical at any worker count.
-//
-// Error discipline: a failing chunk records (error, chunkID) in the
-// worker's scratch and the pass keeps claiming — no short-circuit — so
-// the chunk every sequential execution would fail first always runs,
-// and the coordinator picks the error from the lowest chunk ID:
-// exactly the error sequential ascending-PE execution reports. (The
-// extra work after an error is harmless: Run discards all state on
-// error.)
 type chunkPool struct {
 	m      *vm
 	fn     func(ws *wscratch, c int) error
@@ -74,17 +62,13 @@ func newChunkPool(m *vm, workers int) *chunkPool {
 }
 
 func (pl *chunkPool) work(ws *wscratch) {
-	n := pl.m.nChunks
+	chunks := pl.m.chunks
 	for {
 		c := int(pl.cursor.Add(1)) - 1
-		if c >= n {
+		if c >= len(chunks) {
 			return
 		}
-		if err := pl.fn(ws, c); err != nil {
-			if ws.err == nil || c < ws.errChunk {
-				ws.err, ws.errChunk = err, c
-			}
-		}
+		chunks[c].err = pl.fn(ws, c)
 	}
 }
 
@@ -97,39 +81,39 @@ func (pl *chunkPool) stop() {
 	pl.wg.Wait()
 }
 
-// forChunks runs fn once per chunk. Sequential when no pool exists
-// (Workers <= 1 or a single chunk): ascending chunk order with
-// early-exit on error — the canonical order the parallel path must
-// reproduce. With a pool, the coordinator participates alongside the
-// woken workers, joins them, and reduces the recorded errors to the
-// lowest-chunk one.
-func (m *vm) forChunks(fn func(ws *wscratch, c int) error) error {
-	if m.pool == nil {
-		ws := m.wss[0]
-		for c := 0; c < m.nChunks; c++ {
-			if err := fn(ws, c); err != nil {
-				return err
-			}
+// forChunks runs fn once per chunk: in ascending chunk order when no
+// pool exists (Workers <= 1 or a single chunk), else on the coordinator
+// alongside the woken workers. A failing chunk records its error (and,
+// in a multi-slot pass, the body slot it failed at) and the pass runs
+// every other chunk regardless, so the failure sequential slot-by-slot
+// execution reaches first always runs. That failure is the lowest
+// (slot, chunk) pair, which forChunks returns. (The extra work after an
+// error is harmless: Run discards all state on error.)
+func (m *vm) forChunks(fn func(ws *wscratch, c int) error) (slot int, err error) {
+	if pl := m.pool; pl == nil {
+		for c := range m.chunks {
+			m.chunks[c].err = fn(m.wss[0], c)
 		}
-		return nil
-	}
-	pl := m.pool
-	pl.fn = fn
-	pl.cursor.Store(0)
-	for i := 1; i < len(m.wss); i++ {
-		pl.wake[i] <- struct{}{}
-	}
-	pl.work(m.wss[0])
-	for i := 1; i < len(m.wss); i++ {
-		<-pl.done
-	}
-	var err error
-	errChunk := int(^uint(0) >> 1)
-	for _, ws := range m.wss {
-		if ws.err != nil && ws.errChunk < errChunk {
-			err, errChunk = ws.err, ws.errChunk
+	} else {
+		pl.fn = fn
+		pl.cursor.Store(0)
+		for i := 1; i < len(m.wss); i++ {
+			pl.wake[i] <- struct{}{}
 		}
-		ws.err = nil
+		pl.work(m.wss[0])
+		for i := 1; i < len(m.wss); i++ {
+			<-pl.done
+		}
 	}
-	return err
+	for c := range m.chunks {
+		ch := &m.chunks[c]
+		if ch.err == nil {
+			continue
+		}
+		if err == nil || ch.slot < slot {
+			slot, err = ch.slot, ch.err
+		}
+		ch.err, ch.slot = nil, 0
+	}
+	return slot, err
 }

@@ -1,0 +1,245 @@
+package simd
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"msc/internal/bitset"
+	"msc/internal/ir"
+	"msc/internal/telemetry"
+)
+
+// These tests cover bodies whose chunk-local slots run as one pass per
+// chunk (execBody). Chunks shrink to 64 PEs so a few hundred PEs span
+// several chunks, and every case must match ReferenceRun exactly: the
+// Result or error text, and the profiler attribution (refCheck).
+
+var g1, g2, g12 = bitset.Of(1), bitset.Of(2), bitset.Of(1, 2)
+
+// ex is a SlotExec slot.
+func ex(g *bitset.Set, op ir.Op, imm int64) Slot {
+	return Slot{Kind: SlotExec, Guard: g, Instr: ir.Instr{Op: op, Imm: imm}}
+}
+
+// splitProgram builds a two-meta-state program. Meta state 0 sends the
+// PEs below split to MIMD state 1 and the rest to state 2; meta state 1
+// is {1, 2} and runs body, then ends every PE. Each body slot carries
+// its index plus one as its source line, so the profiler tells the
+// slots apart.
+func splitProgram(words, split int, body ...Slot) *Program {
+	g0 := bitset.Of(0)
+	slots := append(append([]Slot(nil), body...), Slot{Kind: SlotEnd, Guard: g12})
+	for i := range slots {
+		slots[i].Pos = ir.Pos{Line: i + 1}
+	}
+	return &Program{
+		Start: 0, Words: words, NStates: 3, Barriers: bitset.New(0),
+		Meta: []*MetaCode{
+			{ID: 0, Set: g0.Clone(), Slots: []Slot{
+				ex(g0, ir.IProc, 0),
+				ex(g0, ir.PushC, int64(split)),
+				ex(g0, ir.CmpLt, 0),
+				{Kind: SlotJumpF, Guard: g0, To: 1, FTo: 2},
+			}, Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: g12, To: 1}}}},
+			{ID: 1, Set: g12.Clone(), Slots: slots, Trans: Trans{Kind: TransNone}},
+		},
+	}
+}
+
+// TestRunReportsLowestSlotFailure: chunk 1 underflows at slot 1 and
+// chunk 0 at slot 3. Slot-by-slot execution reaches chunk 1's failure
+// first, so that is the error, and the profiler is charged for no slot
+// past it.
+func TestRunReportsLowestSlotFailure(t *testing.T) {
+	defer SetChunkPEsForTest(64)()
+	p := splitProgram(1, 64,
+		ex(g2, ir.PushC, 1),
+		ex(g2, ir.Add, 0), // state-2 PEs hold one word
+		ex(g1, ir.PushC, 1),
+		ex(g1, ir.Pop, 2), // so do state-1 PEs
+	)
+	_, err := refCheck(t, p, Config{N: 128})
+	if err == nil || !strings.Contains(err.Error(), "PE 64 evaluation stack underflow") {
+		t.Fatalf("error = %v, want PE 64 underflow", err)
+	}
+	prof := telemetry.NewProfiler(1)
+	if _, err := Run(p, Config{N: 128, Workers: 4, Profiler: prof}); err == nil {
+		t.Fatal("run succeeded")
+	}
+	for _, f := range prof.Frames() {
+		if f.Frame.Meta == 1 && f.Frame.Pos.Line > 2 {
+			t.Errorf("profiler charged slot %d, past the failing slot 1", f.Frame.Pos.Line-1)
+		}
+	}
+}
+
+// TestRunStaticErrorAfterEarlierFailure: an address or opcode error at
+// slot k, which every chunk would hit, is reported only when no chunk
+// failed at an earlier slot — here chunk 1 underflows at slot 0.
+func TestRunStaticErrorAfterEarlierFailure(t *testing.T) {
+	defer SetChunkPEsForTest(64)()
+	for _, tc := range []struct {
+		name string
+		body []Slot
+		want string
+	}{
+		{"address after underflow", []Slot{ex(g2, ir.StLocal, 0), ex(g12, ir.LdLocal, 99)},
+			"PE 64 evaluation stack underflow"},
+		{"opcode after underflow", []Slot{ex(g2, ir.StLocal, 0), ex(g1, ir.Op(250), 0)},
+			"PE 64 evaluation stack underflow"},
+		{"address alone", []Slot{ex(g2, ir.PushC, 1), ex(g2, ir.StLocal, 0), ex(g12, ir.LdLocal, 99)},
+			"memory address 99 out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := refCheck(t, splitProgram(1, 64, tc.body...), Config{N: 192})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunCrossChunkSlots: each PE stores a word that PEs in other
+// chunks then read through the router in the same body, and a mono
+// store is read back by every PE, on a width whose last chunk is
+// partial.
+func TestRunCrossChunkSlots(t *testing.T) {
+	defer SetChunkPEsForTest(64)()
+	const n = 150 // chunks of 64, 64 and 22 PEs
+	p := splitProgram(5, 64,
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 10), ex(g12, ir.Mul, 0), ex(g12, ir.StLocal, 0),
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 64), ex(g12, ir.Add, 0),
+		ex(g12, ir.LdRemote, 0), ex(g12, ir.StLocal, 1),
+		ex(g2, ir.IProc, 0), ex(g2, ir.StMono, 2), ex(g12, ir.LdMono, 2), ex(g12, ir.StLocal, 3),
+		ex(g1, ir.IProc, 0), ex(g1, ir.PushC, 70), ex(g1, ir.Add, 0), ex(g1, ir.IProc, 0),
+		ex(g1, ir.StRemote, 4), ex(g12, ir.LdLocal, 4), ex(g12, ir.StLocal, 4),
+	)
+	res, err := refCheck(t, p, Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range []int{0, 63, 64, 100, 149} {
+		if got, want := res.Mem[pe][1], ir.Word(10*((pe+64)%n)); got != want {
+			t.Errorf("PE %d: remote read %d, want %d", pe, got, want)
+		}
+		if got := res.Mem[pe][3]; got != n-1 {
+			t.Errorf("PE %d: mono read %d, want %d", pe, got, n-1)
+		}
+	}
+	if got := res.Mem[133][4]; got != 63 {
+		t.Errorf("PE 133: remote write %d, want 63", got)
+	}
+}
+
+// TestRunStacksGrowInSomeChunks: state-2 PEs (chunks 1 and 2) push 12
+// words, past the 8 rows a chunk's evaluation stack starts with, and 6
+// return sites, past its 4 return-stack rows into the PEs' own spills,
+// while state-1 PEs (chunk 0) stay shallow. Growth must keep every
+// entry.
+func TestRunStacksGrowInSomeChunks(t *testing.T) {
+	defer SetChunkPEsForTest(64)()
+	var body []Slot
+	for k := 1; k <= 12; k++ {
+		body = append(body, ex(g2, ir.PushC, int64(k)))
+	}
+	for k := 1; k < 12; k++ {
+		body = append(body, ex(g2, ir.Add, 0))
+	}
+	body = append(body, ex(g2, ir.StLocal, 0), ex(g1, ir.IProc, 0), ex(g1, ir.StLocal, 0))
+	res, err := refCheck(t, splitProgram(1, 64, body...), Config{N: 192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem[5][0] != 5 || res.Mem[100][0] != 78 || res.Mem[191][0] != 78 {
+		t.Fatalf("sums = %d, %d, %d; want 5, 78, 78", res.Mem[5][0], res.Mem[100][0], res.Mem[191][0])
+	}
+
+	// State-2 PEs return through every spilled and row entry down to
+	// the bottom one, to MIMD state 3, which meta state 2 ends.
+	g3 := bitset.Of(3)
+	body = []Slot{ex(g2, ir.PushRet, 3)}
+	for k := 0; k < 5; k++ {
+		body = append(body, ex(g2, ir.PushRet, 0))
+	}
+	for k := 0; k < 6; k++ {
+		body = append(body, Slot{Kind: SlotRetBr, Guard: g2})
+	}
+	p := splitProgram(1, 64, body...)
+	p.NStates = 4
+	p.Meta[1].Slots[len(body)].Guard = g1
+	p.Meta[1].Trans = Trans{Kind: TransGoto, ExitCheck: true, Entries: []DispatchEntry{{Key: g3, To: 2}}}
+	p.Meta = append(p.Meta, &MetaCode{ID: 2, Set: g3.Clone(),
+		Slots: []Slot{{Kind: SlotEnd, Guard: g3}}, Trans: Trans{Kind: TransNone}})
+	res, err = refCheck(t, p, Config{N: 192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MetaStats[2].Visits != 1 {
+		t.Fatalf("meta state 2 visits = %d, want 1", res.MetaStats[2].Visits)
+	}
+}
+
+// recursionProgram builds a program whose one entry PE calls k·(m+1)
+// deep and returns: meta state 0 pushes k exit sites (MIMD state 3),
+// each visit to meta state 1 pushes k more return sites (state 2) until
+// its counter reaches m, and each visit to meta state 2 returns k
+// times.
+func recursionProgram(k, m int) *Program {
+	g0, g3 := bitset.Of(0), bitset.Of(3)
+	var entry, descend, ascend []Slot
+	for range k {
+		entry = append(entry, ex(g0, ir.PushRet, 3))
+		descend = append(descend, ex(g1, ir.PushRet, 2))
+		ascend = append(ascend, Slot{Kind: SlotRetBr, Guard: g2})
+	}
+	entry = append(entry, Slot{Kind: SlotSetPC, Guard: g0, To: 1})
+	descend = append(descend,
+		ex(g1, ir.LdLocal, 0), ex(g1, ir.PushC, 1), ex(g1, ir.Add, 0), ex(g1, ir.Dup, 0), ex(g1, ir.StLocal, 0),
+		ex(g1, ir.PushC, int64(m)), ex(g1, ir.CmpLt, 0), Slot{Kind: SlotJumpF, Guard: g1, To: 1, FTo: 2})
+	sw := func(a, b int) Trans {
+		return Trans{Kind: TransSwitch, Entries: []DispatchEntry{{Key: bitset.Of(a), To: a}, {Key: bitset.Of(b), To: b}}}
+	}
+	return &Program{
+		Start: 0, Words: 1, NStates: 4, Barriers: bitset.New(0),
+		Meta: []*MetaCode{
+			{ID: 0, Set: g0.Clone(), Slots: entry, Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: g1, To: 1}}}},
+			{ID: 1, Set: g1.Clone(), Slots: descend, Trans: sw(1, 2)},
+			{ID: 2, Set: g2.Clone(), Slots: ascend, Trans: sw(2, 3)},
+			{ID: 3, Set: g3.Clone(), Slots: []Slot{{Kind: SlotEnd, Guard: g3}}, Trans: Trans{Kind: TransNone}},
+		},
+	}
+}
+
+// TestRunDeepRecursion: one PE of a 4096-PE chunk calls about 10^5
+// deep while the chunk's other PEs stay idle. The run must match the
+// reference, and its allocation must grow with that PE's depth alone:
+// return entries past a chunk's rows belong to the PE that pushed
+// them, so they must not widen every PE's return stack.
+func TestRunDeepRecursion(t *testing.T) {
+	const k, m = 64, 1562
+	depth := k * (m + 1)
+	conf := Config{N: 4096, InitialActive: 1}
+	res, err := refCheck(t, recursionProgram(k, m), conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem[0][0] != m || !res.Done[0] {
+		t.Fatalf("PE 0: counter %d, done %v; want %d, true", res.Mem[0][0], res.Done[0], m)
+	}
+	alloc := func(p *Program) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(p, conf); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	shallow, deep := alloc(recursionProgram(k, 1)), alloc(recursionProgram(k, m))
+	if limit := uint64(16 * 4 * depth); deep > shallow+limit {
+		t.Fatalf("depth %d allocated %d bytes beyond a %d-deep run, want at most %d (16 return entries per level)",
+			depth, deep-shallow, 2*k, limit)
+	}
+	t.Logf("depth %d: %d bytes, depth %d: %d bytes", 2*k, shallow, depth, deep)
+}

@@ -260,12 +260,16 @@ func prepare(p *Program, conf Config) (Config, int, error) {
 // parallel arrays (pcs/npcs, one memory slab indexed pe*words+addr) and
 // per-MIMD-state occupancy masks with 64 PEs per word, so per-slot
 // enablement is a word OR of the guard's occupied member states and the
-// enable census is a running occupancy count — no per-PE scan. Slots
-// execute over fixed-size PE chunks (chunkPEs wide, word-aligned) that
-// a worker pool claims from an atomic cursor; cross-chunk effects
-// (StMono broadcast value, StRemote router writes, occupancy-count
-// deltas) are buffered per chunk and committed in chunk-ID order by the
-// coordinator, so the Result is byte-identical at any worker count.
+// enable census is a running occupancy count — no per-PE scan. PEs are
+// cut into fixed-size chunks (chunkPEs wide, word-aligned) that a
+// worker pool claims from an atomic cursor. A chunk owns its PEs'
+// stacks, stored depth-major (see chunk), and each pass runs a whole
+// run of chunk-local slots on a chunk before moving on, so a chunk's PE
+// state stays cache-resident across the run (execBody).
+// Cross-chunk effects (StMono broadcast value, StRemote router writes,
+// occupancy-count deltas) are buffered per chunk and committed in
+// chunk-ID order by the coordinator, so the Result is byte-identical at
+// any worker count.
 type vm struct {
 	p    *Program
 	conf Config
@@ -278,15 +282,10 @@ type vm struct {
 	pcs  []int32   // committed pc per PE
 	npcs []int32   // next pc per PE; equals pcs outside a body
 
-	// Evaluation and return stacks: fixed full-capacity backing slices
-	// (len == cap, growth reallocates) with the logical depth kept in
-	// separate int32 arrays. Push/pop then never write a slice header
-	// back — one data store and one int32 store, no write barrier —
-	// which measures ~2x faster than append/reslice at mega widths.
-	stacks [][]ir.Word // evaluation stack backing per PE
-	slens  []int32     // evaluation stack depth per PE
-	rets   [][]int32   // return stack backing per PE
-	rlens  []int32     // return stack depth per PE
+	// Evaluation and return stack depths per PE; the stack words live
+	// in the PE's chunk (see chunk).
+	slens []int32
+	rlens []int32
 
 	occ    []bitset.Mask // per MIMD state: which PEs' committed pc is there
 	occCnt []int64       // per MIMD state: popcount of occ, maintained incrementally
@@ -298,22 +297,54 @@ type vm struct {
 
 	freeHint int // first mask word that may hold a free (idle, not dirty) PE
 
-	gm [][][]int // per meta state, per slot: the guard's member MIMD states
+	gm  [][][]int // per meta state, per slot: the guard's member MIMD states
+	ens []int64   // per slot of the running body: enabled PE count
 
-	// Per-chunk buffers for effects that must apply in global PE order:
-	// StMono's last-popped value and StRemote's router writes.
-	monoAny []bool
-	monoVal []ir.Word
-	remBuf  [][]remWrite
-
-	nChunks int
-	wss     []*wscratch
-	pool    *chunkPool
+	chunks []chunk
+	wss    []*wscratch
+	pool   *chunkPool
 
 	res    *Result
 	sink   obs.Sink // nil when no tracing is attached
 	emitTL bool     // build O(N) timeline events only when someone reads them
 	prof   *telemetry.Profiler
+}
+
+// retRows is how many return-stack entries per PE a chunk holds
+// depth-major; it covers every call depth in the corpus.
+const retRows = 4
+
+// chunk is the state one PE chunk owns. During a pass only the worker
+// running the chunk touches it.
+type chunk struct {
+	p0, wd int // the chunk's PEs are [p0, p0+wd)
+
+	// Evaluation stacks, depth-major: PE pe's entry at depth d is
+	// stk[d*wd+pe-p0]. Blocks are stack-balanced, so the PEs a slot
+	// enables from one MIMD state share a depth and touch one contiguous
+	// row, and the deepest block bounds the rows a compiled program
+	// needs. A push past the last row doubles the chunk's rows.
+	stk []ir.Word
+
+	// Return stacks: the first retRows entries of each PE depth-major
+	// in ret like stk, the rest in the PE's own retDeep[pe-p0]. Return
+	// depth is recursion depth, which nothing bounds, so one deep PE
+	// must not grow every PE's rows. retDeep is allocated on the
+	// chunk's first overflow.
+	ret     []int32
+	retDeep [][]int32
+
+	// err is the chunk's failure in the current pass and slot the body
+	// slot it failed at (see forChunks).
+	err  error
+	slot int
+
+	// Effects that must apply in global PE order: whether StMono popped
+	// any PE here and the last value popped, and StRemote's buffered
+	// router writes.
+	monoAny bool
+	monoVal ir.Word
+	rem     []remWrite
 }
 
 // remWrite is one buffered StRemote store: slab index and value.
@@ -332,13 +363,11 @@ func newVM(p *Program, conf Config, entry int) *vm {
 		nw:   bitset.MaskWords(n),
 		cw:   chunkPEs / 64,
 
-		mem:    make([]ir.Word, n*p.Words),
-		pcs:    make([]int32, n),
-		npcs:   make([]int32, n),
-		stacks: make([][]ir.Word, n),
-		slens:  make([]int32, n),
-		rets:   make([][]int32, n),
-		rlens:  make([]int32, n),
+		mem:   make([]ir.Word, n*p.Words),
+		pcs:   make([]int32, n),
+		npcs:  make([]int32, n),
+		slens: make([]int32, n),
+		rlens: make([]int32, n),
 
 		occ:    make([]bitset.Mask, p.NStates),
 		occCnt: make([]int64, p.NStates),
@@ -355,18 +384,6 @@ func newVM(p *Program, conf Config, entry int) *vm {
 	}
 	for s := range m.occ {
 		m.occ[s] = bitset.NewMask(n)
-	}
-	// Stack backings are carved out of two contiguous slabs,
-	// stackCap/retCap entries per PE: deep enough for every corpus
-	// program, so the hot path never allocates. A PE that outgrows its
-	// window gets a private doubled slice (growStack/growRet); the slab
-	// windows never overlap, so no PE can overwrite a neighbor.
-	const stackCap, retCap = 8, 4
-	sslab := make([]ir.Word, n*stackCap)
-	rslab := make([]int32, n*retCap)
-	for i := 0; i < n; i++ {
-		m.stacks[i] = sslab[i*stackCap : (i+1)*stackCap]
-		m.rets[i] = rslab[i*retCap : (i+1)*retCap]
 	}
 	ia := conf.InitialActive
 	m.occ[entry].FillFirst(ia)
@@ -387,32 +404,39 @@ func newVM(p *Program, conf Config, entry int) *vm {
 	copy(m.npcs, m.pcs)
 
 	m.gm = make([][][]int, len(p.Meta))
+	maxSlots := 0
 	for _, mc := range p.Meta {
 		sl := make([][]int, len(mc.Slots))
 		for si := range mc.Slots {
 			sl[si] = mc.Slots[si].Guard.Elems()
 		}
 		m.gm[mc.ID] = sl
+		maxSlots = max(maxSlots, len(mc.Slots))
 	}
+	m.ens = make([]int64, maxSlots)
 
-	m.nChunks = (m.nw + m.cw - 1) / m.cw
-	if m.nChunks < 1 {
-		m.nChunks = 1
+	// Evaluation stacks start stackRows deep, enough for every corpus
+	// program, so the hot path never allocates.
+	const stackRows = 8
+	m.chunks = make([]chunk, max((m.nw+m.cw-1)/m.cw, 1))
+	for c := range m.chunks {
+		ch := &m.chunks[c]
+		ch.p0 = c * chunkPEs
+		ch.wd = min(n-ch.p0, chunkPEs)
+		ch.stk = make([]ir.Word, stackRows*ch.wd)
+		ch.ret = make([]int32, retRows*ch.wd)
 	}
-	m.monoAny = make([]bool, m.nChunks)
-	m.monoVal = make([]ir.Word, m.nChunks)
-	m.remBuf = make([][]remWrite, m.nChunks)
 
 	workers := conf.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > m.nChunks {
-		workers = m.nChunks
+	if workers > len(m.chunks) {
+		workers = len(m.chunks)
 	}
 	m.wss = make([]*wscratch, workers)
 	for i := range m.wss {
-		m.wss[i] = newWScratch(p.NStates, m.nw)
+		m.wss[i] = newWScratch(p.NStates)
 	}
 	if workers > 1 {
 		m.pool = newChunkPool(m, workers)

@@ -2,11 +2,14 @@ package simd
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"msc/internal/bitset"
 	"msc/internal/ir"
+	"msc/internal/telemetry"
 )
 
 // execProgram wraps a code sequence in a single one-state program.
@@ -21,6 +24,35 @@ func execProgram(words int, code ...ir.Instr) *Program {
 		Start: 0, Words: words, NStates: 1, Barriers: bitset.New(0),
 		Meta: []*MetaCode{{ID: 0, Set: g0.Clone(), Slots: slots, Trans: Trans{Kind: TransNone}}},
 	}
+}
+
+// refCheck runs p on the reference VM and on the vectorized VM at
+// several worker counts, each with an exact profiler, and requires the
+// same Result or error text and the same profiler attribution. It
+// returns the reference's outcome.
+func refCheck(t *testing.T, p *Program, conf Config) (*Result, error) {
+	t.Helper()
+	refProf := telemetry.NewProfiler(1)
+	rc := conf
+	rc.Profiler = refProf
+	want, wantErr := ReferenceRun(p, rc)
+	for _, w := range []int{1, 4, 0} {
+		prof := telemetry.NewProfiler(1)
+		vc := conf
+		vc.Workers, vc.Profiler = w, prof
+		got, err := Run(p, vc)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("workers=%d: error %v, reference %v", w, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: Result differs from the reference", w)
+		}
+		if prof.Total() != refProf.Total() || !reflect.DeepEqual(prof.Frames(), refProf.Frames()) {
+			t.Fatalf("workers=%d: profiler got %d cycles %v, reference %d cycles %v",
+				w, prof.Total(), prof.Frames(), refProf.Total(), refProf.Frames())
+		}
+	}
+	return want, wantErr
 }
 
 func TestExecMemoryOps(t *testing.T) {
@@ -160,6 +192,29 @@ func TestExecOutOfRangeAddress(t *testing.T) {
 	)
 	if _, err := Run(p2, Config{N: 1}); err == nil {
 		t.Fatalf("negative index accepted")
+	}
+}
+
+// TestExecPopCount pins Pop's count to the reference's semantics, which
+// pops Imm times: a negative count pops nothing, and a count past the
+// stack depth underflows however large it is.
+func TestExecPopCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		code []ir.Instr
+	}{
+		{"negative", []ir.Instr{
+			{Op: ir.PushC, Imm: 5}, {Op: ir.Pop, Imm: -1},
+			{Op: ir.StLocal, Imm: 0}, {Op: ir.StLocal, Imm: 1},
+		}},
+		{"beyond int32", []ir.Instr{{Op: ir.PushC, Imm: 5}, {Op: ir.Pop, Imm: 1 << 32}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := refCheck(t, execProgram(2, tc.code...), Config{N: 2})
+			if err == nil || !strings.Contains(err.Error(), "PE 0 evaluation stack underflow") {
+				t.Fatalf("error = %v, want PE 0 underflow", err)
+			}
+		})
 	}
 }
 
