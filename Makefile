@@ -93,6 +93,7 @@ fuzz:
 	go test -fuzz=FuzzParse -fuzztime=60s ./internal/mimdc/
 	go test -fuzz=FuzzPromEscape -fuzztime=30s ./internal/telemetry/
 	go test -fuzz=FuzzArtifactDecode -fuzztime=30s ./internal/artifact/
+	go test -fuzz=FuzzInduce -fuzztime=30s ./internal/csi/
 	go test -fuzz=FuzzOptDifferential -fuzztime=60s .
 
 # Regenerate EXPERIMENTS.md (all paper artifacts + ablations).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,39 @@ func TestCLIProfileFolded(t *testing.T) {
 	}
 	if len(sampled) == 0 {
 		t.Error("sampled folded output empty")
+	}
+}
+
+// TestCLIProfileCSILines checks that CSI keeps source lines in the
+// profile: on divergent.mc every cycle of ms1's block 1 (line 12,
+// x = x + 100) folds onto line_12 with -csi, exactly as without it,
+// instead of onto a bare block frame.
+func TestCLIProfileCSILines(t *testing.T) {
+	path := filepath.Join("..", "..", "examples", "mc", "divergent.mc")
+	frames := func(args ...string) map[string]int {
+		out, _, err := runCLI(t, append(append([]string{"profile"}, args...), "-compress", "-n", "8", "-folded", path)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+			i := strings.LastIndex(line, " ")
+			n, err := strconv.Atoi(line[i+1:])
+			if err != nil {
+				t.Fatalf("not a folded-stack line: %q", line)
+			}
+			if strings.HasPrefix(line, "simd;ms1;b1") {
+				m[line[:i]] += n
+			}
+		}
+		return m
+	}
+	plain, csi := frames(), frames("-csi")
+	if len(plain) != 1 || plain["simd;ms1;b1;line_12"] == 0 {
+		t.Fatalf("without CSI, ms1;b1 frames = %v, want only line_12", plain)
+	}
+	if len(csi) != 1 || csi["simd;ms1;b1;line_12"] != plain["simd;ms1;b1;line_12"] {
+		t.Fatalf("with -csi, ms1;b1 frames = %v, want %v", csi, plain)
 	}
 }
 

@@ -8,13 +8,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"msc/internal/cfg"
 	"msc/internal/codegen"
+	"msc/internal/ir"
 	metastate "msc/internal/msc"
 	"msc/internal/mscerr"
 	"msc/internal/progen"
+	"msc/internal/simd"
 )
 
 // maxArtifactStates caps buildArtifact's conversions. Uncompressed
@@ -261,4 +265,69 @@ func TestFingerprintExcludesStats(t *testing.T) {
 	if bytes.Equal(encA, encB) {
 		t.Fatal("encodings should differ when stats differ (digest covers stats)")
 	}
+}
+
+// loopSource runs its loop body, x = x - 1, a data-dependent number of
+// times.
+const loopSource = "poly int x;\nvoid main() { x = iproc % 4; do { x = x - 1; } while (x); return; }"
+
+// forgeLoopBody inserts slot into loopSource's compiled loop body, the
+// state that executes the Sub, before that state's first slot that
+// satisfies at, under that slot's guard. It reports whether it found
+// one.
+func forgeLoopBody(p *simd.Program, slot simd.Slot, at func(simd.Slot) bool) bool {
+	for _, m := range p.Meta {
+		j := slices.IndexFunc(m.Slots, func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec && sl.Instr.Op == ir.Sub })
+		if j < 0 {
+			continue
+		}
+		body := m.Slots[j].Block
+		if k := slices.IndexFunc(m.Slots, func(sl simd.Slot) bool { return sl.Block == body && at(sl) }); k >= 0 {
+			slot.Guard, slot.Block = m.Slots[k].Guard, body
+			m.Slots = slices.Insert(m.Slots, k, slot)
+			return true
+		}
+	}
+	return false
+}
+
+// TestUnbalancedProgramIsCorrupt re-encodes a compiled artifact whose
+// loop body pushes one value more than it pops, and one whose loop body
+// has a second terminator. Decoding must reject both as corrupt:
+// the VM sizes evaluation-stack rows on the balanced-block rule, and a
+// decoded program never passes cfg.Verify.
+func TestUnbalancedProgramIsCorrupt(t *testing.T) {
+	isExec := func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec }
+	isTerm := func(sl simd.Slot) bool { return sl.Kind != simd.SlotExec }
+	for _, tc := range []struct {
+		name   string
+		slot   simd.Slot
+		at     func(simd.Slot) bool
+		reason string
+	}{
+		{"push in loop body", simd.Slot{Kind: simd.SlotExec, Instr: ir.Instr{Op: ir.PushC, Imm: 1}}, isExec, "is unbalanced: net stack effect 1 (want 0)"},
+		{"second terminator", simd.Slot{Kind: simd.SlotSetPC}, isTerm, "has 2 terminator slots, want 1"},
+	} {
+		a := buildArtifact(t, loopSource, true, true, true)
+		if _, _, err := Decode(mustEncode(t, a)); err != nil {
+			t.Fatalf("%s: the unmodified program does not decode: %v", tc.name, err)
+		}
+		if !forgeLoopBody(a.Program, tc.slot, tc.at) {
+			t.Fatalf("%s: no loop body to forge", tc.name)
+		}
+		_, _, err := Decode(mustEncode(t, a))
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason) {
+			t.Errorf("%s: Decode = %v, want a corrupt stream that %s", tc.name, err, tc.reason)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, a *Artifact) []byte {
+	t.Helper()
+	enc, err := Encode(a, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
 }

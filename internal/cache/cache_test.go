@@ -6,15 +6,19 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"msc/internal/artifact"
 	"msc/internal/cfg"
 	"msc/internal/codegen"
 	"msc/internal/faultinject"
+	"msc/internal/ir"
 	metastate "msc/internal/msc"
 	"msc/internal/mscerr"
 	"msc/internal/progen"
+	"msc/internal/simd"
 )
 
 func testArtifact(t *testing.T, seed int64) (*artifact.Artifact, artifact.Key) {
@@ -313,6 +317,54 @@ func TestHugeSectionObjectQuarantined(t *testing.T) {
 		if q := dirCount(t, filepath.Join(dir, quarantineDir)); q != 1 {
 			t.Fatalf("length %d: %d quarantined files, want 1", n, q)
 		}
+	}
+}
+
+// TestUnbalancedObjectQuarantined stores a compiled artifact whose loop
+// body (the state executing x = x - 1) pushes one value more than it
+// pops, as a forged cache object could: Get must quarantine it as
+// corrupt rather than hand the VM a program that grows every PE's
+// evaluation-stack rows on each iteration.
+func TestUnbalancedObjectQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	g := cfg.MustBuild("poly int x;\nvoid main() { x = iproc % 4; do { x = x - 1; } while (x); return; }")
+	a, err := metastate.Convert(g, metastate.DefaultOptions(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := codegen.Compile(a, codegen.Options{Hash: true, CSI: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := false
+	for _, m := range p.Meta {
+		j := slices.IndexFunc(m.Slots, func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec && sl.Instr.Op == ir.Sub })
+		if j >= 0 && !forged {
+			push := simd.Slot{Kind: simd.SlotExec, Guard: m.Slots[j].Guard, Block: m.Slots[j].Block, Instr: ir.Instr{Op: ir.PushC, Imm: 1}}
+			m.Slots = slices.Insert(m.Slots, j, push)
+			forged = true
+		}
+	}
+	if !forged {
+		t.Fatal("no loop body to forge")
+	}
+	var key artifact.Key
+	key.SourceHash[0] = 9
+	if err := s.Put(key, &artifact.Artifact{Graph: g, Automaton: a, Program: p, StatsJSON: []byte("{}")}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(key)
+	var ce *mscerr.CacheError
+	if got != nil || !errors.As(err, &ce) || ce.Op != "quarantine" {
+		t.Fatalf("Get = %v, %v; want quarantine", got, err)
+	}
+	var corrupt *artifact.CorruptError
+	if !errors.As(err, &corrupt) || !strings.Contains(corrupt.Reason, "is unbalanced") {
+		t.Fatalf("quarantined for %v, want an unbalanced state", ce.Err)
+	}
+	if q := dirCount(t, filepath.Join(dir, quarantineDir)); q != 1 {
+		t.Fatalf("%d quarantined files, want 1", q)
 	}
 }
 

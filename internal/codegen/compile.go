@@ -10,6 +10,7 @@ package codegen
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"msc/internal/bitset"
 	"msc/internal/cfg"
@@ -117,16 +118,28 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		opt.Metrics.Add(obs.CounterCSISavedCycles, int64(sched.Saved()))
 		opt.Metrics.Add(obs.CounterCSISlotsSaved, int64(sched.SlotsSaved()))
 		mc.Slots = make([]simd.Slot, 0, len(sched.Slots)+len(members))
+		// Each member's projection of the schedule is its own code, so
+		// next[i] is the index in members[i].Code of the next slot
+		// members[i] executes.
+		next := make([]int, len(members))
+		member := func(id int) int {
+			return sort.Search(len(members), func(i int) bool { return members[i].ID >= id })
+		}
 		for _, sl := range sched.Slots {
 			// A CSI-merged slot serves every state in its guard; the
 			// minimum member is the deterministic representative the
-			// profiler attributes its cycles to.
+			// profiler attributes its cycles to, at the source line of
+			// that member's instruction.
+			rep := sl.Guard.Min()
+			i := member(rep)
+			pos := members[i].Code[next[i]].Pos
+			sl.Guard.ForEach(func(id int) { next[member(id)]++ })
 			mc.Slots = append(mc.Slots, simd.Slot{
 				Kind:  simd.SlotExec,
 				Guard: sl.Guard,
 				Instr: sl.Instr,
-				Block: sl.Guard.Min(),
-				Pos:   sl.Instr.Pos,
+				Block: rep,
+				Pos:   pos,
 			})
 		}
 	} else {

@@ -68,9 +68,9 @@ type Slot struct {
 	ChildTo int         // SlotSpawn child entry
 	// Block and Pos attribute the slot back to the MIMD source: Block is
 	// the representative member state (the guard's minimum for CSI-merged
-	// slots) and Pos the source position of the instruction or, for
-	// terminator slots, the block. The sampling profiler folds engine
-	// cycles onto these.
+	// slots) and Pos the source position of the instruction in Block's
+	// code or, for terminator slots, the block. The sampling profiler
+	// folds engine cycles onto these.
 	Block int
 	Pos   ir.Pos
 }

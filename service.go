@@ -499,12 +499,11 @@ func (s *CompileService) requestConfig(req *CompileRequest, r *http.Request) (Co
 		}
 		// A service must keep its own ceiling: request limits may
 		// tighten the defaults, never exceed them.
-		if d := s.cfg.DefaultLimits.Deadline; d > 0 && (conf.Limits.Deadline <= 0 || conf.Limits.Deadline > d) {
-			conf.Limits.Deadline = d
-		}
-		if m := s.cfg.DefaultLimits.MaxStates; m > 0 && (conf.Limits.MaxStates <= 0 || conf.Limits.MaxStates > m) {
-			conf.Limits.MaxStates = m
-		}
+		ceil := s.cfg.DefaultLimits
+		conf.Limits.Deadline = clampLimit(conf.Limits.Deadline, ceil.Deadline)
+		conf.Limits.MaxStates = clampLimit(conf.Limits.MaxStates, ceil.MaxStates)
+		conf.Limits.MaxCSICandidates = clampLimit(conf.Limits.MaxCSICandidates, ceil.MaxCSICandidates)
+		conf.Limits.MaxMemBytes = clampLimit(conf.Limits.MaxMemBytes, ceil.MaxMemBytes)
 	}
 	conf.Degrade = r.URL.Query().Get("degrade") == "1"
 	conf.Metrics = s.rec
@@ -523,6 +522,16 @@ func (s *CompileService) requestConfig(req *CompileRequest, r *http.Request) (Co
 		}
 	}
 	return conf, nil
+}
+
+// clampLimit keeps a request's limit v within the service ceiling c.
+// A non-positive value means unlimited (or, for MaxStates, the config
+// default) on either side, so it takes the ceiling when one is set.
+func clampLimit[T int | int64 | time.Duration](v, c T) T {
+	if c > 0 && (v <= 0 || v > c) {
+		return c
+	}
+	return v
 }
 
 // compileOne runs one request through the pipeline (and the optional

@@ -14,6 +14,7 @@ import (
 
 	"msc"
 	"msc/internal/faultinject"
+	"msc/internal/harness"
 	"msc/internal/obs"
 )
 
@@ -458,5 +459,47 @@ func TestServiceRequestLimitsClamped(t *testing.T) {
 	eb := decodeError(t, w)
 	if eb.Limit != 4 {
 		t.Fatalf("clamped limit = %d, want 4: %+v", eb.Limit, eb)
+	}
+}
+
+// TestServiceCeilingsClampEveryLimit: the CSI-candidate and memory
+// ceilings hold like the deadline and state ceilings. A request that
+// sends an empty limits object, or a value above the ceiling, still
+// runs under the ceiling; a tighter value wins.
+func TestServiceCeilingsClampEveryLimit(t *testing.T) {
+	for _, tc := range []struct {
+		resource string
+		src      string
+		ceiling  msc.Limits
+		field    string
+		limit    int64 // the ceiling's value for this resource
+		tighter  int64
+	}{
+		// Primes examines more than 10 CSI candidates under
+		// DefaultConfig; Divergent's conversion estimate is above
+		// 1000 bytes.
+		{"csi_candidates", harness.Primes, msc.Limits{MaxCSICandidates: 10}, "max_csi_candidates", 10, 3},
+		{"mem_bytes", harness.Divergent, msc.Limits{MaxMemBytes: 1000}, "max_mem_bytes", 1000, 100},
+	} {
+		svc := msc.NewCompileService(msc.ServiceConfig{DefaultLimits: tc.ceiling})
+		for _, req := range []struct {
+			limits string
+			want   int64
+		}{
+			{`{}`, tc.limit},
+			{`{"max_states": 1000}`, tc.limit},
+			{fmt.Sprintf(`{%q: 1000000000}`, tc.field), tc.limit},
+			{fmt.Sprintf(`{%q: %d}`, tc.field, tc.tighter), tc.tighter},
+		} {
+			w := postCompile(t, svc, "/compile", compileBody(t, tc.src, `"limits": `+req.limits))
+			if w.Code != http.StatusTooManyRequests {
+				t.Fatalf("%s, limits %s: status %d, want 429: %s", tc.resource, req.limits, w.Code, w.Body.String())
+			}
+			if eb := decodeError(t, w); eb.Resource != tc.resource || eb.Limit != req.want {
+				t.Fatalf("limits %s: over %s budget of %d, want %s budget of %d",
+					req.limits, eb.Resource, eb.Limit, tc.resource, req.want)
+			}
+		}
+		svc.Close()
 	}
 }

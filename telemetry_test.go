@@ -3,12 +3,14 @@ package msc_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"msc"
 	"msc/internal/harness"
 	"msc/internal/obs"
+	"msc/internal/simd"
 	"msc/internal/telemetry"
 )
 
@@ -182,6 +184,44 @@ func TestProfilerAttribution(t *testing.T) {
 	}
 	if iprof.Total() != ires.Time {
 		t.Fatalf("interp profiler total %d != engine cycles %d", iprof.Total(), ires.Time)
+	}
+}
+
+// TestCSISlotPositions checks that a CSI-merged exec slot carries the
+// source position of the instruction it came from in its
+// representative member, Slot.Block: each member's projection of the
+// body is its own code, so a per-block cursor finds that instruction.
+func TestCSISlotPositions(t *testing.T) {
+	for _, path := range corpusFiles(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := msc.Compile(string(src), msc.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		withPos := 0
+		for _, m := range c.Program.Meta {
+			next := map[int]int{}
+			for i, sl := range m.Slots {
+				if sl.Kind != simd.SlotExec {
+					continue
+				}
+				code := c.Automaton.G.Block(sl.Block).Code
+				if k := next[sl.Block]; k >= len(code) || sl.Pos != code[k].Pos || sl.Instr != code[k].Canon() {
+					t.Fatalf("%s ms%d slot %d (%v at %v, block %d): not instruction %d of the block",
+						path, m.ID, i, sl.Instr, sl.Pos, sl.Block, k)
+				}
+				sl.Guard.ForEach(func(id int) { next[id]++ })
+				if sl.Pos.IsValid() {
+					withPos++
+				}
+			}
+		}
+		if withPos == 0 {
+			t.Errorf("%s: no exec slot carries a position", path)
+		}
 	}
 }
 
