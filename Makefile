@@ -89,12 +89,19 @@ cover:
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
 
+# Every fuzz target. `-run '^$$'` skips the package's other tests, so
+# the root-package lines do not rerun the whole suite each time.
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=60s ./internal/mimdc/
+	go test -run '^$$' -fuzz=FuzzStackBalance -fuzztime=30s ./internal/mimdc/
 	go test -fuzz=FuzzPromEscape -fuzztime=30s ./internal/telemetry/
 	go test -fuzz=FuzzArtifactDecode -fuzztime=30s ./internal/artifact/
 	go test -fuzz=FuzzInduce -fuzztime=30s ./internal/csi/
-	go test -fuzz=FuzzOptDifferential -fuzztime=60s .
+	go test -fuzz=FuzzDataflow -fuzztime=30s ./internal/analysis/
+	go test -run '^$$' -fuzz=FuzzOptDifferential -fuzztime=60s .
+	go test -run '^$$' -fuzz=FuzzPipelineEquivalence -fuzztime=30s .
+	go test -run '^$$' -fuzz=FuzzPipelineRobustness -fuzztime=30s .
+	go test -run '^$$' -fuzz=FuzzWireRequest -fuzztime=30s .
 
 # Regenerate EXPERIMENTS.md (all paper artifacts + ablations).
 experiments:

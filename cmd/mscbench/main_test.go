@@ -56,3 +56,54 @@ func TestReportWriteError(t *testing.T) {
 		t.Fatalf("failed write still reported success:\n%s", errb.String())
 	}
 }
+
+// updateExperiments rewrites EXPERIMENTS.md from the current code
+// instead of comparing against it; review the diff like code.
+var updateExperiments = os.Getenv("UPDATE_EXPERIMENTS") != ""
+
+const experimentsPath = "../../EXPERIMENTS.md"
+
+// TestExperimentsGolden regenerates the full report the way `make
+// experiments` does and requires it to match the committed
+// EXPERIMENTS.md byte for byte, so the paper-reproduction numbers
+// cannot drift from the code unseen. Regenerate deliberately with
+// UPDATE_EXPERIMENTS=1.
+func TestExperimentsGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
+	var out, errb bytes.Buffer
+	if err := run([]string{"-o", path, "-header"}, &out, &errb); err != nil {
+		t.Fatalf("%v\n%s", err, errb.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if updateExperiments {
+		if err := os.WriteFile(experimentsPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", experimentsPath)
+		return
+	}
+	want, err := os.ReadFile(experimentsPath)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with UPDATE_EXPERIMENTS=1): %v", experimentsPath, err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w || i >= len(gl) || i >= len(wl) {
+			t.Fatalf("EXPERIMENTS.md differs from the regenerated report at line %d (%d lines generated, %d committed)\n got: %q\nwant: %q\nif intended, regenerate with UPDATE_EXPERIMENTS=1 and review the diff",
+				i+1, len(gl), len(wl), g, w)
+		}
+	}
+}

@@ -18,13 +18,14 @@ func AnalyzeGraph(g *cfg.Graph) []Diagnostic {
 	inits := InitAnalysis(g, vars)
 	live := Liveness(g, vars)
 	consts := ConstFacts(g, vars)
+	reach := reachableBlocks(g)
 
 	var diags []Diagnostic
-	diags = append(diags, CheckUninitialized(g, vars, inits)...)
+	diags = append(diags, CheckUninitialized(g, vars, inits, reach)...)
 	diags = append(diags, CheckDeadStores(g, vars, live)...)
-	diags = append(diags, CheckUnreachableCode(g)...)
-	diags = append(diags, CheckConstConditions(g, consts)...)
-	diags = append(diags, CheckDivByConstZero(g, consts)...)
+	diags = append(diags, CheckUnreachableCode(g, reach)...)
+	diags = append(diags, CheckConstConditions(g, consts, reach)...)
+	diags = append(diags, CheckDivByConstZero(g, consts, reach)...)
 	return SortDiagnostics(diags)
 }
 

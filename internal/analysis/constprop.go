@@ -2,8 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"msc/internal/bitset"
 	"msc/internal/cfg"
 	"msc/internal/ir"
 )
@@ -17,15 +18,26 @@ type ConstVal struct {
 }
 
 // ConstResult holds, for each block, the slots known to hold a
-// specific constant on every path reaching the block's entry.
+// specific constant on every path reaching the block's entry. Each
+// block's environment is a row of ConstVal with one column per tracked
+// slot: a slot some StLocal/StMono writes that is not excluded — the
+// only slots a replay can ever record a constant for. The rows of all
+// blocks share one array, so the facts take blocks × tracked slots
+// values.
 type ConstResult struct {
-	In map[int]map[int]ConstVal
-	// excluded are slots whose value another PE can change behind our
-	// back: remote-accessed slots always, and mono slots stored after
-	// the common prologue (PEs at different source points run in
-	// lockstep, so a divergent PE's broadcast store can land anywhere
-	// on our path).
-	excluded *bitset.Set
+	// slots lists the tracked slots in increasing order; a slot's
+	// column is its index here. A slot not listed always reads unknown:
+	// no StLocal/StMono writes it, or it is excluded — its value
+	// another PE can change behind our back: remote-accessed slots
+	// always, and mono slots stored after the common prologue (PEs at
+	// different source points run in lockstep, so a divergent PE's
+	// broadcast store can land anywhere on our path). A sorted list
+	// rather than a table indexed by slot keeps the facts independent
+	// of the program's memory size, which arrays make large.
+	slots []int32
+	// in holds the entry row of block ID i at [i*w, (i+1)*w), where w
+	// is len(slots).
+	in []ConstVal
 }
 
 // ConstFacts computes global must-constant facts by forward fixpoint:
@@ -40,6 +52,11 @@ type ConstResult struct {
 // fixed point, which is the sound answer for a must-analysis. Facts
 // are recorded only for blocks reachable from the entry; everything
 // else reads as unknown.
+//
+// The fixpoint sweeps the blocks in ID order until a sweep changes no
+// block's exit row. A block's entry row is the meet of its computed
+// predecessors' exit rows, written in place; its exit row is the
+// replay of its code over a copy of that entry row.
 func ConstFacts(g *cfg.Graph, vars *Vars) *ConstResult {
 	excluded := vars.Remote.Clone()
 	for _, b := range g.Blocks {
@@ -52,88 +69,77 @@ func ConstFacts(g *cfg.Graph, vars *Vars) *ConstResult {
 			}
 		}
 	}
-
-	preds := make(map[int][]int)
-	var ids []int
+	r := &ConstResult{}
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
 		}
-		ids = append(ids, b.ID)
-		for _, s := range b.Succs() {
-			if g.Block(s) != nil {
-				preds[s] = append(preds[s], b.ID)
+		for _, in := range b.Code {
+			slot := int(in.Imm)
+			if (in.Op == ir.StLocal || in.Op == ir.StMono) && slot >= 0 && slot <= math.MaxInt32 && !excluded.Has(slot) {
+				r.slots = append(r.slots, int32(slot))
 			}
 		}
 	}
+	slices.Sort(r.slots)
+	r.slots = slices.Compact(r.slots)
 
-	in := make(map[int]map[int]ConstVal, len(ids))
-	out := make(map[int]map[int]ConstVal, len(ids))
-	computed := make(map[int]bool, len(ids))
+	n, w := len(g.Blocks), len(r.slots)
+	from, to := edgeList(g)
+	predStart, preds := adjacency(n, to, from)
 
-	// meet intersects the out-facts of every computed predecessor; a
-	// predecessor whose out-set has not been computed yet is ⊤ and adds
-	// no constraint. nil (distinct from an empty map) means the block
-	// itself is still ⊤: no computed predecessor reaches it.
-	meet := func(id int) map[int]ConstVal {
-		ps := preds[id]
-		if id == g.Entry || len(ps) == 0 {
-			return map[int]ConstVal{}
-		}
-		var acc map[int]ConstVal
-		for _, p := range ps {
-			if !computed[p] {
-				continue
-			}
-			po := out[p]
-			if acc == nil {
-				acc = make(map[int]ConstVal, len(po))
-				for slot, v := range po {
-					acc[slot] = v
-				}
-				continue
-			}
-			for slot, v := range acc {
-				if pv, ok := po[slot]; !ok || pv != v {
-					delete(acc, slot)
-				}
-			}
-		}
-		return acc
-	}
-
-	equal := func(a, b map[int]ConstVal) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if bv, ok := b[k]; !ok || bv != v {
-				return false
-			}
-		}
-		return true
-	}
-
+	r.in = make([]ConstVal, n*w)
+	out := make([]ConstVal, n*w)
+	computed := make([]bool, n)
+	env := &ConstEnv{res: r, row: make([]ConstVal, w)}
 	for changed := true; changed; {
 		changed = false
-		for _, id := range ids {
-			newIn := meet(id)
-			if newIn == nil {
-				// Still ⊤: not yet reached from the entry. Leaving out/in
-				// unset keeps the block from constraining its successors;
-				// if it stays unreached it is dead and reads as unknown.
+		for _, b := range g.Blocks {
+			if b == nil {
 				continue
 			}
-			in[id] = newIn
-			newOut, _ := evalBlock(g.Block(id), newIn, excluded)
-			if !computed[id] || !equal(newOut, out[id]) {
-				out[id] = newOut
+			id := b.ID
+			row := r.in[id*w : (id+1)*w]
+			if ps := preds[predStart[id]:predStart[id+1]]; id != g.Entry && len(ps) > 0 {
+				// Meet the exit rows of the computed predecessors; one
+				// not computed yet is ⊤ and adds no constraint.
+				met := false
+				for _, p := range ps {
+					if !computed[p] {
+						continue
+					}
+					po := out[int(p)*w : (int(p)+1)*w]
+					if !met {
+						copy(row, po)
+						met = true
+						continue
+					}
+					for c := range row {
+						if row[c] != po[c] {
+							row[c] = ConstVal{}
+						}
+					}
+				}
+				if !met {
+					// Still ⊤: not yet reached from the entry. Leaving the
+					// block uncomputed keeps it from constraining its
+					// successors; if it stays unreached it is dead and its
+					// row reads as unknown.
+					continue
+				}
+			}
+			env.load(row)
+			for _, in := range b.Code {
+				env.Step(in)
+			}
+			if o := out[id*w : (id+1)*w]; !computed[id] || !slices.Equal(env.row, o) {
+				copy(o, env.row)
 				computed[id] = true
 				changed = true
 			}
 		}
 	}
-	return &ConstResult{In: in, excluded: excluded}
+	return r
 }
 
 // StepNote reports what one abstract Step observed, beyond the state
@@ -147,15 +153,15 @@ type StepNote struct {
 }
 
 // ConstEnv is a mutable abstract machine state for replaying one
-// block's stack code over the constant lattice: the per-slot constant
-// environment plus the abstract evaluation stack. The optimizer's
-// constant-materialization pass and the diagnostic checks both drive
-// it instruction by instruction; ConstFacts' fixpoint uses it as its
-// transfer function.
+// block's stack code over the constant lattice: the constant row of
+// the tracked slots plus the abstract evaluation stack. The
+// optimizer's constant-materialization pass and the diagnostic checks
+// both drive it instruction by instruction; ConstFacts' fixpoint uses
+// it as its transfer function.
 type ConstEnv struct {
-	env      map[int]ConstVal
-	stack    []ConstVal
-	excluded *bitset.Set
+	res   *ConstResult
+	row   []ConstVal
+	stack []ConstVal
 	// poisoned is set when an unrecognized opcode makes the whole
 	// environment untrustworthy; every fact reads unknown from then on.
 	poisoned bool
@@ -164,20 +170,52 @@ type ConstEnv struct {
 // EnvAt returns a fresh replay state seeded with the facts holding at
 // the named block's entry (per the ConstFacts fixpoint).
 func (r *ConstResult) EnvAt(blockID int) *ConstEnv {
-	e := &ConstEnv{env: make(map[int]ConstVal), excluded: r.excluded}
-	for k, v := range r.In[blockID] {
-		e.env[k] = v
-	}
+	e := &ConstEnv{res: r, row: make([]ConstVal, len(r.slots))}
+	e.Enter(blockID)
 	return e
+}
+
+// Enter resets the replay to the entry of the named block, reusing the
+// state's storage: one ConstEnv can walk every block of a graph.
+func (e *ConstEnv) Enter(blockID int) {
+	var row []ConstVal
+	if w := len(e.res.slots); blockID >= 0 && (blockID+1)*w <= len(e.res.in) {
+		row = e.res.in[blockID*w : (blockID+1)*w]
+	}
+	e.load(row)
+}
+
+// load starts a replay from a copy of row (all unknown when nil) with
+// an empty stack.
+func (e *ConstEnv) load(row []ConstVal) {
+	if row == nil {
+		clear(e.row)
+	} else {
+		copy(e.row, row)
+	}
+	e.stack = e.stack[:0]
+	e.poisoned = false
+}
+
+// column returns the slot's column, or -1 for an untracked slot.
+func (r *ConstResult) column(slot int) int {
+	if slot < 0 || slot > math.MaxInt32 {
+		return -1
+	}
+	if c, ok := slices.BinarySearch(r.slots, int32(slot)); ok {
+		return c
+	}
+	return -1
 }
 
 // Slot returns the constant known to be in a memory slot at the
 // current replay point (unknown for excluded or untracked slots).
 func (e *ConstEnv) Slot(slot int) ConstVal {
-	if e.poisoned || e.excluded.Has(slot) {
+	c := e.res.column(slot)
+	if e.poisoned || c < 0 {
 		return ConstVal{}
 	}
-	return e.env[slot]
+	return e.row[c]
 }
 
 // Top returns the abstract value on top of the evaluation stack, or
@@ -225,10 +263,12 @@ func (e *ConstEnv) Step(in ir.Instr) StepNote {
 		e.push(e.Slot(slot))
 	case ir.StLocal, ir.StMono:
 		v := e.pop()
-		if v.Known && !e.poisoned && !e.excluded.Has(slot) {
-			e.env[slot] = v
-		} else {
-			delete(e.env, slot)
+		if c := e.res.column(slot); c >= 0 {
+			if v.Known && !e.poisoned {
+				e.row[c] = v
+			} else {
+				e.row[c] = unknown
+			}
 		}
 	case ir.LdIndex:
 		e.pop()
@@ -244,7 +284,9 @@ func (e *ConstEnv) Step(in ir.Instr) StepNote {
 		// possibly ours, via self-addressing — so the fact is gone.
 		e.pop()
 		e.pop()
-		delete(e.env, slot)
+		if c := e.res.column(slot); c >= 0 {
+			e.row[c] = unknown
+		}
 	case ir.Neg, ir.BitNot, ir.LNot:
 		v := e.pop()
 		if !v.Known {
@@ -281,27 +323,10 @@ func (e *ConstEnv) Step(in ir.Instr) StepNote {
 	default:
 		// Unknown op: give up on the whole environment.
 		e.poisoned = true
-		e.env = map[int]ConstVal{}
-		e.stack = nil
+		clear(e.row)
+		e.stack = e.stack[:0]
 	}
 	return note
-}
-
-// evalBlock abstractly executes a block's stack code over the constant
-// environment, returning the post-state and the final stack (top
-// last). Unsupported operations and excluded slots produce unknowns.
-func evalBlock(b *cfg.Block, env map[int]ConstVal, excluded *bitset.Set) (map[int]ConstVal, []ConstVal) {
-	e := &ConstEnv{env: make(map[int]ConstVal, len(env)), excluded: excluded}
-	for k, v := range env {
-		e.env[k] = v
-	}
-	for _, in := range b.Code {
-		e.Step(in)
-	}
-	if e.poisoned {
-		return map[int]ConstVal{}, nil
-	}
-	return e.env, e.stack
 }
 
 // evalBinary folds an integer binary op over abstract operands. The
@@ -323,18 +348,18 @@ func evalBinary(op ir.Op, l, r ConstVal) ConstVal {
 // constants: the branch always goes the same way, so one arm is
 // effectively dead. Info severity — constant entry guards are a normal
 // byproduct of the §4.2 loop normalization.
-func CheckConstConditions(g *cfg.Graph, consts *ConstResult) []Diagnostic {
+func CheckConstConditions(g *cfg.Graph, consts *ConstResult, reach []bool) []Diagnostic {
 	var diags []Diagnostic
-	reach := reachableBlocks(g)
+	env := consts.EnvAt(cfg.None)
 	for _, b := range g.Blocks {
 		if b == nil || b.Term != cfg.Branch || !reach[b.ID] {
 			continue
 		}
-		_, stack := evalBlock(b, consts.In[b.ID], consts.excluded)
-		if len(stack) == 0 {
-			continue
+		env.Enter(b.ID)
+		for _, in := range b.Code {
+			env.Step(in)
 		}
-		cond := stack[len(stack)-1]
+		cond := env.Top()
 		if !cond.Known {
 			continue
 		}
@@ -360,14 +385,14 @@ func CheckConstConditions(g *cfg.Graph, consts *ConstResult) []Diagnostic {
 // divisor is a compile-time constant zero. The machine totalizes both
 // to 0, so this is not a crash — but it is almost never what the
 // source meant, and the optimizer deliberately refuses to fold it.
-func CheckDivByConstZero(g *cfg.Graph, consts *ConstResult) []Diagnostic {
+func CheckDivByConstZero(g *cfg.Graph, consts *ConstResult, reach []bool) []Diagnostic {
 	var diags []Diagnostic
-	reach := reachableBlocks(g)
+	env := consts.EnvAt(cfg.None)
 	for _, b := range g.Blocks {
 		if b == nil || !reach[b.ID] {
 			continue
 		}
-		env := consts.EnvAt(b.ID)
+		env.Enter(b.ID)
 		for _, in := range b.Code {
 			if env.Step(in).DivByConstZero {
 				op := "division"
@@ -390,8 +415,7 @@ func CheckDivByConstZero(g *cfg.Graph, consts *ConstResult) []Diagnostic {
 // blocks carrying instructions are reported: the builder leaves empty
 // synthetic blocks (join points after returns, loop exits of infinite
 // loops) that are not source-level dead code.
-func CheckUnreachableCode(g *cfg.Graph) []Diagnostic {
-	reach := reachableBlocks(g)
+func CheckUnreachableCode(g *cfg.Graph, reach []bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, b := range g.Blocks {
 		if b == nil || reach[b.ID] || len(b.Code) == 0 {

@@ -37,125 +37,186 @@ type Problem struct {
 	// Forward problems, every exitless block (End/Halt terminators and
 	// never-called function exits) for Backward ones. nil means empty.
 	Boundary *bitset.Set
-	// Transfer computes the block's flow output from its flow input. It
-	// must not mutate in.
-	Transfer func(b *cfg.Block, in *bitset.Set) *bitset.Set
+	// Transfer writes the block's flow output for flow input in into
+	// out, overwriting whatever out held. It must not mutate in, and
+	// must not keep either set: Solve reuses both.
+	Transfer func(b *cfg.Block, in, out *bitset.Set)
 }
 
-// Result holds the fixed-point facts per block ID. In is always the
-// fact set at block entry and Out the set at block exit, regardless of
-// the problem's direction.
+// Result holds the fixed-point facts per block, indexed by block ID
+// (the block's index in Graph.Blocks; nil holes have nil entries). In
+// is always the fact set at block entry and Out the set at block exit,
+// regardless of the problem's direction.
 type Result struct {
-	In, Out map[int]*bitset.Set
+	In, Out []*bitset.Set
 }
 
 // Solve runs worklist iteration to the (least for Union, greatest for
 // Intersect) fixed point. Spawn edges and multiway-return edges are
 // ordinary graph edges: facts flow into spawned children and across
 // call returns.
+//
+// The solver works over dense block indices: the dependency edges are
+// flat arrays built once, the worklist is a FIFO ring seeded in block
+// order, the meet writes into the block's own input set, and Transfer
+// writes into a scratch set that is swapped in as the block's output
+// only when it differs. Apart from Transfer's own work, a Solve
+// allocates the same amount however many visits the fixpoint takes.
 func Solve(g *cfg.Graph, p Problem) *Result {
+	n := len(g.Blocks)
 	boundary := p.Boundary
 	if boundary == nil {
 		boundary = bitset.New(0)
 	}
-	top := func() *bitset.Set {
-		s := bitset.New(p.Universe)
-		if p.Meet == Intersect {
-			for i := 0; i < p.Universe; i++ {
-				s.Add(i)
-			}
+	top := bitset.New(p.Universe)
+	if p.Meet == Intersect {
+		for i := 0; i < p.Universe; i++ {
+			top.Add(i)
 		}
-		return s
 	}
 
-	// Dependency edges: the blocks a node's flow input meets over
-	// (sources) and the blocks to re-queue when its output changes
-	// (dependents).
-	sources := make(map[int][]int)
-	dependents := make(map[int][]int)
-	var ids []int
+	// Dependency edges as flat adjacency arrays: the blocks a node's
+	// flow input meets over (srcs) and the blocks to re-queue when its
+	// output changes (deps), each in the order the graph lists them.
+	from, to := edgeList(g)
+	if p.Dir == Backward {
+		from, to = to, from
+	}
+	srcStart, srcs := adjacency(n, to, from)
+	depStart, deps := adjacency(n, from, to)
+	atBoundary := make([]bool, n)
+	var succs []int
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
 		}
-		ids = append(ids, b.ID)
-		for _, s := range b.Succs() {
-			if g.Block(s) == nil {
-				continue
-			}
-			if p.Dir == Forward {
-				sources[s] = append(sources[s], b.ID)
-				dependents[b.ID] = append(dependents[b.ID], s)
-			} else {
-				sources[b.ID] = append(sources[b.ID], s)
-				dependents[s] = append(dependents[s], b.ID)
-			}
-		}
-	}
-	atBoundary := func(b *cfg.Block) bool {
 		if p.Dir == Forward {
-			return b.ID == g.Entry
+			atBoundary[b.ID] = b.ID == g.Entry
+		} else {
+			succs = b.AppendSuccs(succs[:0])
+			atBoundary[b.ID] = len(succs) == 0
 		}
-		return len(b.Succs()) == 0
 	}
 
-	input := make(map[int]*bitset.Set, len(ids))
-	output := make(map[int]*bitset.Set, len(ids))
-	for _, id := range ids {
-		input[id] = top()
-		output[id] = top()
-	}
-
-	// Worklist in block order; order affects only convergence speed.
-	queued := make(map[int]bool, len(ids))
-	work := append([]int(nil), ids...)
-	for _, id := range work {
-		queued[id] = true
-	}
-	for len(work) > 0 {
-		id := work[0]
-		work = work[1:]
-		queued[id] = false
-		b := g.Block(id)
-
-		var acc *bitset.Set
-		meet := func(s *bitset.Set) {
-			if acc == nil {
-				acc = s.Clone()
-			} else if p.Meet == Union {
-				acc.UnionWith(s)
-			} else {
-				acc = acc.Intersect(s)
-			}
-		}
-		if atBoundary(b) {
-			meet(boundary)
-		}
-		for _, src := range sources[id] {
-			meet(output[src])
-		}
-		if acc == nil {
-			// No boundary and no sources: unreachable in the flow
-			// direction; keep the optimistic initial value.
-			acc = top()
-		}
-		input[id] = acc
-		next := p.Transfer(b, acc)
-		if next.Equal(output[id]) {
+	sets := bitset.MakeSets(2*n+1, p.Universe)
+	in := make([]*bitset.Set, n)
+	out := make([]*bitset.Set, n)
+	queued := make([]bool, n)
+	ring := make([]int32, 0, n)
+	for _, b := range g.Blocks {
+		if b == nil {
 			continue
 		}
-		output[id] = next
-		for _, d := range dependents[id] {
+		in[b.ID], out[b.ID] = &sets[2*b.ID], &sets[2*b.ID+1]
+		out[b.ID].CopyFrom(top)
+		queued[b.ID] = true
+		ring = append(ring, int32(b.ID))
+	}
+	scratch := &sets[2*n]
+
+	// FIFO over a ring of capacity n, seeded in block order: the queued
+	// flags keep every block in it at most once.
+	head, count := 0, len(ring)
+	ring = ring[:n]
+	for count > 0 {
+		id := ring[head]
+		head = (head + 1) % n
+		count--
+		queued[id] = false
+
+		acc := in[id]
+		met := false
+		if atBoundary[id] {
+			acc.CopyFrom(boundary)
+			met = true
+		}
+		for _, src := range srcs[srcStart[id]:srcStart[id+1]] {
+			switch {
+			case !met:
+				acc.CopyFrom(out[src])
+				met = true
+			case p.Meet == Union:
+				acc.UnionWith(out[src])
+			default:
+				acc.IntersectWith(out[src])
+			}
+		}
+		if !met {
+			// No boundary and no sources: unreachable in the flow
+			// direction; keep the optimistic initial value.
+			acc.CopyFrom(top)
+		}
+		p.Transfer(g.Blocks[id], acc, scratch)
+		if scratch.Equal(out[id]) {
+			continue
+		}
+		out[id], scratch = scratch, out[id]
+		for _, d := range deps[depStart[id]:depStart[id+1]] {
 			if !queued[d] {
 				queued[d] = true
-				work = append(work, d)
+				ring[(head+count)%n] = d
+				count++
 			}
 		}
 	}
 
-	res := &Result{In: input, Out: output}
+	res := &Result{In: in, Out: out}
 	if p.Dir == Backward {
-		res.In, res.Out = output, input
+		res.In, res.Out = out, in
 	}
 	return res
+}
+
+// edgeList returns g's arcs between live blocks as parallel from/to
+// arrays, in graph order: blocks by ID, each block's successors in
+// Succs order.
+func edgeList(g *cfg.Graph) (from, to []int32) {
+	var succs []int
+	e := 0
+	for _, b := range g.Blocks {
+		if b == nil {
+			continue
+		}
+		succs = b.AppendSuccs(succs[:0])
+		for _, s := range succs {
+			if g.Block(s) != nil {
+				e++
+			}
+		}
+	}
+	from, to = make([]int32, 0, e), make([]int32, 0, e)
+	for _, b := range g.Blocks {
+		if b == nil {
+			continue
+		}
+		succs = b.AppendSuccs(succs[:0])
+		for _, s := range succs {
+			if g.Block(s) != nil {
+				from, to = append(from, int32(b.ID)), append(to, int32(s))
+			}
+		}
+	}
+	return from, to
+}
+
+// adjacency groups the edges by key in CSR form: the values of the
+// edges keyed k are list[start[k]:start[k+1]], in edge order.
+func adjacency(n int, keys, vals []int32) (start, list []int32) {
+	start = make([]int32, n+1)
+	for _, k := range keys {
+		start[k]++
+	}
+	for k := 1; k <= n; k++ {
+		start[k] += start[k-1]
+	}
+	// start[k] is now the end of group k. Filling each group from its
+	// end while walking the edges backward keeps edge order and leaves
+	// start[k] at the group's beginning.
+	list = make([]int32, len(vals))
+	for e := len(keys) - 1; e >= 0; e-- {
+		k := keys[e]
+		start[k]--
+		list[start[k]] = vals[e]
+	}
+	return start, list
 }

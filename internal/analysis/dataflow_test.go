@@ -60,15 +60,14 @@ func TestSolveForwardUnion(t *testing.T) {
 		Dir:      Forward,
 		Meet:     Union,
 		Universe: 4,
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set {
-			out := in.Clone()
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) {
+			out.CopyFrom(in)
 			for _, k := range kill[b.ID] {
 				out.Remove(k)
 			}
 			for _, x := range gen[b.ID] {
 				out.Add(x)
 			}
-			return out
 		},
 	})
 	wantSet(t, "In[3]", res.In[3], 0, 1, 2)
@@ -91,12 +90,11 @@ func TestSolveForwardIntersect(t *testing.T) {
 		Dir:      Forward,
 		Meet:     Intersect,
 		Universe: 4,
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set {
-			out := in.Clone()
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) {
+			out.CopyFrom(in)
 			for _, x := range gen[b.ID] {
 				out.Add(x)
 			}
-			return out
 		},
 	})
 	// Both arms add 2; only arm 1 adds 1. Fact 0 flows from the entry.
@@ -117,13 +115,12 @@ func TestSolveBackwardUnion(t *testing.T) {
 		Meet:     Union,
 		Universe: 8,
 		Boundary: bitset.Of(5),
-		Transfer: func(b *cfg.Block, out *bitset.Set) *bitset.Set {
-			in := out.Clone()
+		Transfer: func(b *cfg.Block, out, in *bitset.Set) {
+			in.CopyFrom(out)
 			if b.ID == 1 {
 				in.Remove(5) // def kills
 				in.Add(3)    // use gens
 			}
-			return in
 		},
 	})
 	// In/Out are entry/exit facts regardless of direction.
@@ -147,12 +144,11 @@ func TestSolveLoopFixpoint(t *testing.T) {
 		Dir:      Forward,
 		Meet:     Union,
 		Universe: 2,
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set {
-			out := in.Clone()
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) {
+			out.CopyFrom(in)
 			for _, x := range gen[b.ID] {
 				out.Add(x)
 			}
-			return out
 		},
 	})
 	wantSet(t, "In[1]", res.In[1], 0, 1) // via back edge from 2
@@ -169,12 +165,12 @@ func TestSolveUnreachable(t *testing.T) {
 	)
 	union := Solve(g, Problem{
 		Dir: Forward, Meet: Union, Universe: 3,
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set { return in.Clone() },
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) { out.CopyFrom(in) },
 	})
 	wantSet(t, "union In[1]", union.In[1]) // top for Union = empty
 	must := Solve(g, Problem{
 		Dir: Forward, Meet: Intersect, Universe: 3,
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set { return in.Clone() },
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) { out.CopyFrom(in) },
 	})
 	wantSet(t, "must In[1]", must.In[1], 0, 1, 2) // top for Intersect = full
 }
@@ -189,12 +185,11 @@ func TestSolveSpawnEdges(t *testing.T) {
 	gen := map[int][]int{0: {0}}
 	res := Solve(g, Problem{
 		Dir: Forward, Meet: Union, Universe: 1,
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set {
-			out := in.Clone()
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) {
+			out.CopyFrom(in)
 			for _, x := range gen[b.ID] {
 				out.Add(x)
 			}
-			return out
 		},
 	})
 	wantSet(t, "In[1]", res.In[1], 0)

@@ -20,8 +20,8 @@ func Liveness(g *cfg.Graph, vars *Vars) *Result {
 		Meet:     Union,
 		Universe: g.Words,
 		Boundary: boundary,
-		Transfer: func(b *cfg.Block, out *bitset.Set) *bitset.Set {
-			live := out.Clone()
+		Transfer: func(b *cfg.Block, out, live *bitset.Set) {
+			live.CopyFrom(out)
 			for i := len(b.Code) - 1; i >= 0; i-- {
 				in := b.Code[i]
 				slot := int(in.Imm)
@@ -36,7 +36,6 @@ func Liveness(g *cfg.Graph, vars *Vars) *Result {
 					live.Add(slot)
 				}
 			}
-			return live
 		},
 	})
 }
@@ -49,11 +48,12 @@ func Liveness(g *cfg.Graph, vars *Vars) *Result {
 // observed even though the slot read was folded away.
 func CheckDeadStores(g *cfg.Graph, vars *Vars, live *Result) []Diagnostic {
 	var diags []Diagnostic
+	cur := bitset.New(g.Words)
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
 		}
-		cur := live.Out[b.ID].Clone()
+		cur.CopyFrom(live.Out[b.ID])
 		// Walk backward replaying the block-local transfer so each store
 		// sees the liveness immediately after it.
 		type report struct {

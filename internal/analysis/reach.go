@@ -70,8 +70,9 @@ func ReachingDefs(g *cfg.Graph) *ReachResult {
 		Dir:      Forward,
 		Meet:     Union,
 		Universe: len(sites),
-		Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set {
-			return in.Minus(kill[b.ID]).Union(gen[b.ID])
+		Transfer: func(b *cfg.Block, in, out *bitset.Set) {
+			out.MinusOf(in, kill[b.ID])
+			out.UnionWith(gen[b.ID])
 		},
 	})
 	return &ReachResult{Sites: sites, Result: res}

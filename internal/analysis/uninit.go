@@ -27,14 +27,13 @@ func InitAnalysis(g *cfg.Graph, vars *Vars) *InitFacts {
 			Meet:     meet,
 			Universe: g.Words,
 			Boundary: vars.Remote.Clone(),
-			Transfer: func(b *cfg.Block, in *bitset.Set) *bitset.Set {
-				out := in.Clone()
+			Transfer: func(b *cfg.Block, in, out *bitset.Set) {
+				out.CopyFrom(in)
 				for _, instr := range b.Code {
 					if instr.Op == ir.StLocal || instr.Op == ir.StMono {
 						out.Add(int(instr.Imm))
 					}
 				}
-				return out
 			},
 		}
 	}
@@ -57,9 +56,7 @@ func InitAnalysis(g *cfg.Graph, vars *Vars) *InitFacts {
 // distinct PEs is not defined by the CFG. The check is therefore
 // flow-insensitive for mono variables: an error is reported only when
 // no reachable block stores the variable at all.
-func CheckUninitialized(g *cfg.Graph, vars *Vars, facts *InitFacts) []Diagnostic {
-	reach := reachableBlocks(g)
-
+func CheckUninitialized(g *cfg.Graph, vars *Vars, facts *InitFacts, reach []bool) []Diagnostic {
 	// monoStored: mono slots with at least one reachable store.
 	monoStored := bitset.New(g.Words)
 	for _, b := range g.Blocks {
@@ -75,12 +72,13 @@ func CheckUninitialized(g *cfg.Graph, vars *Vars, facts *InitFacts) []Diagnostic
 
 	var diags []Diagnostic
 	reportedMono := make(map[int]bool)
+	may, must := bitset.New(g.Words), bitset.New(g.Words)
 	for _, b := range g.Blocks {
 		if b == nil || !reach[b.ID] {
 			continue
 		}
-		may := facts.May.In[b.ID].Clone()
-		must := facts.Must.In[b.ID].Clone()
+		may.CopyFrom(facts.May.In[b.ID])
+		must.CopyFrom(facts.Must.In[b.ID])
 		for _, in := range b.Code {
 			slot := int(in.Imm)
 			switch in.Op {
@@ -124,18 +122,19 @@ func CheckUninitialized(g *cfg.Graph, vars *Vars, facts *InitFacts) []Diagnostic
 	return diags
 }
 
-// reachableBlocks marks the blocks reachable from the program entry.
-func reachableBlocks(g *cfg.Graph) map[int]bool {
-	seen := make(map[int]bool)
+// reachableBlocks marks the blocks reachable from the program entry,
+// indexed by block ID.
+func reachableBlocks(g *cfg.Graph) []bool {
+	seen := make([]bool, len(g.Blocks))
 	stack := []int{g.Entry}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] || g.Block(id) == nil {
+		if g.Block(id) == nil || seen[id] {
 			continue
 		}
 		seen[id] = true
-		stack = append(stack, g.Block(id).Succs()...)
+		stack = g.Blocks[id].AppendSuccs(stack)
 	}
 	return seen
 }

@@ -25,6 +25,20 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// MakeSets returns k empty sets with room for ids < n, carved from one
+// backing array: two allocations for any k. Each set's capacity is
+// capped at its own words, so a set that grows past n reallocates
+// instead of spilling into its neighbour.
+func MakeSets(k, n int) []Set {
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, k*w)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i].words = words[i*w : (i+1)*w : (i+1)*w]
+	}
+	return sets
+}
+
 // Of returns a set containing exactly the given ids.
 func Of(ids ...int) *Set {
 	s := &Set{}
@@ -141,6 +155,17 @@ func (s *Set) UnionWith(t *Set) {
 	s.grow(len(t.words) - 1)
 	for i, w := range t.words {
 		s.words[i] |= w
+	}
+}
+
+// IntersectWith removes from s, in place, every element not in t.
+func (s *Set) IntersectWith(t *Set) {
+	for i := range s.words {
+		if i < len(t.words) {
+			s.words[i] &= t.words[i]
+		} else {
+			s.words[i] = 0
+		}
 	}
 }
 

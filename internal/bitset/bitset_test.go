@@ -298,6 +298,16 @@ func TestInPlaceOps(t *testing.T) {
 		t.Fatalf("MinusOf = %s, want %s", dst, a.Minus(b))
 	}
 	dst.CopyFrom(a)
+	dst.IntersectWith(b)
+	if !dst.Equal(a.Intersect(b)) {
+		t.Fatalf("IntersectWith = %s, want %s", dst, a.Intersect(b))
+	}
+	dst.CopyFrom(a)
+	dst.IntersectWith(Of(1))
+	if !dst.Equal(Of(1)) {
+		t.Fatalf("IntersectWith a shorter set = %s, want {1}", dst)
+	}
+	dst.CopyFrom(a)
 	if !dst.Equal(a) {
 		t.Fatalf("CopyFrom = %s, want %s", dst, a)
 	}
@@ -319,5 +329,16 @@ func TestForEachMatchesElems(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
+	}
+}
+
+func TestMakeSetsIndependent(t *testing.T) {
+	sets := MakeSets(3, 70)
+	sets[0].Add(69)
+	sets[1].Add(0)
+	sets[1].Add(200) // grows past n: must not touch sets[2]
+	sets[2].Add(5)
+	if !sets[0].Equal(Of(69)) || !sets[1].Equal(Of(0, 200)) || !sets[2].Equal(Of(5)) {
+		t.Fatalf("sets = %s %s %s, want {69} {0,200} {5}", &sets[0], &sets[1], &sets[2])
 	}
 }

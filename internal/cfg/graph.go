@@ -99,20 +99,27 @@ func termCost(k TermKind) int {
 
 // Succs returns every possible successor state of b.
 func (b *Block) Succs() []int {
+	return b.AppendSuccs(nil)
+}
+
+// AppendSuccs appends every possible successor state of b to dst and
+// returns the extended slice, in Succs order: hot walks pass a reused
+// buffer (dst[:0]) instead of allocating a slice per block.
+func (b *Block) AppendSuccs(dst []int) []int {
 	switch b.Term {
 	case Goto:
-		return []int{b.Next}
+		return append(dst, b.Next)
 	case Branch:
 		if b.Next == b.FNext {
-			return []int{b.Next}
+			return append(dst, b.Next)
 		}
-		return []int{b.Next, b.FNext}
+		return append(dst, b.Next, b.FNext)
 	case RetBr:
-		return append([]int(nil), b.RetTargets...)
+		return append(dst, b.RetTargets...)
 	case Spawn:
-		return []int{b.Next, b.SpawnNext}
+		return append(dst, b.Next, b.SpawnNext)
 	}
-	return nil
+	return dst
 }
 
 // Graph is the MIMD state graph for a whole program. Blocks is indexed

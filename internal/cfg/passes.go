@@ -48,11 +48,13 @@ func preds(g *Graph) []int {
 	if g.Entry >= 0 && g.Entry < len(n) {
 		n[g.Entry]++
 	}
+	var succs []int
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
 		}
-		for _, s := range b.Succs() {
+		succs = b.AppendSuccs(succs[:0])
+		for _, s := range succs {
 			if s >= 0 && s < len(n) {
 				n[s]++
 			}
@@ -201,7 +203,7 @@ func pruneUnreachable(g *Graph) bool {
 			continue
 		}
 		seen[id] = true
-		stack = append(stack, g.Blocks[id].Succs()...)
+		stack = g.Blocks[id].AppendSuccs(stack)
 	}
 	changed := false
 	for i, b := range g.Blocks {

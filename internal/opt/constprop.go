@@ -13,15 +13,14 @@ import (
 // router-touched, or mono slots stored outside the prologue — read as
 // unknown, so a materialized constant is one every PE agrees on at
 // that point on every path.
-func materializeConsts(g *cfg.Graph) int {
-	vars := analysis.CollectVars(g)
-	consts := analysis.ConstFacts(g, vars)
+func materializeConsts(g *cfg.Graph, consts *analysis.ConstResult) int {
 	n := 0
+	env := consts.EnvAt(cfg.None)
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
 		}
-		env := consts.EnvAt(b.ID)
+		env.Enter(b.ID)
 		for i, in := range b.Code {
 			if (in.Op == ir.LdLocal || in.Op == ir.LdMono) && in.Ty != ir.Float {
 				if v := env.Slot(int(in.Imm)); v.Known {
@@ -43,10 +42,16 @@ func materializeConsts(g *cfg.Graph) int {
 // Simplify feedback in the driver then prunes the disconnected arm and
 // re-straightens, which is where the meta-state reduction comes from:
 // a pruned MIMD state can never occupy an aggregate again.
-func foldBranches(g *cfg.Graph) int {
-	vars := analysis.CollectVars(g)
-	consts := analysis.ConstFacts(g, vars)
+//
+// consts may be the facts materializeConsts used on the graph as it
+// was before that pass: they are exactly the facts of the rewritten
+// graph. A materialized PushC pushes the value the replay of the load
+// already pushed, at every step of the fixpoint (values at a point
+// only descend, and the final one is that constant), and neither pass
+// touches a store or a router op, so the excluded slots are unchanged.
+func foldBranches(g *cfg.Graph, consts *analysis.ConstResult) int {
 	n := 0
+	env := consts.EnvAt(cfg.None)
 	for _, b := range g.Blocks {
 		if b == nil || b.Term != cfg.Branch {
 			continue
@@ -55,7 +60,7 @@ func foldBranches(g *cfg.Graph) int {
 		if b.Next == b.FNext {
 			take = b.Next
 		} else {
-			env := consts.EnvAt(b.ID)
+			env.Enter(b.ID)
 			for _, in := range b.Code {
 				env.Step(in)
 			}

@@ -30,12 +30,11 @@ func optLiveness(g *cfg.Graph, vars *analysis.Vars) *analysis.Result {
 		Meet:     analysis.Union,
 		Universe: g.Words,
 		Boundary: boundary,
-		Transfer: func(b *cfg.Block, out *bitset.Set) *bitset.Set {
-			live := out.Clone()
+		Transfer: func(b *cfg.Block, out, live *bitset.Set) {
+			live.CopyFrom(out)
 			for i := len(b.Code) - 1; i >= 0; i-- {
 				stepLive(g, vars, b.Code[i], live)
 			}
-			return live
 		},
 	})
 }
@@ -71,15 +70,15 @@ func stepLive(g *cfg.Graph, vars *analysis.Vars, in ir.Instr, live *bitset.Set) 
 // optLiveness). Cascades are handled in one sweep: an overwritten
 // store killed by a later (also dead) store stays dead after both are
 // removed, because removal never introduces a read.
-func elimDeadStores(g *cfg.Graph) int {
-	vars := analysis.CollectVars(g)
+func elimDeadStores(g *cfg.Graph, vars *analysis.Vars) int {
 	live := optLiveness(g, vars)
 	n := 0
+	cur := bitset.New(g.Words)
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
 		}
-		cur := live.Out[b.ID].Clone()
+		cur.CopyFrom(live.Out[b.ID])
 		for i := len(b.Code) - 1; i >= 0; i-- {
 			in := b.Code[i]
 			slot := int(in.Imm)

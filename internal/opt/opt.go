@@ -43,6 +43,7 @@ package opt
 import (
 	"fmt"
 
+	"msc/internal/analysis"
 	"msc/internal/cfg"
 )
 
@@ -110,27 +111,34 @@ func Run(g *cfg.Graph, o Options) (Stats, error) {
 		st.Rounds++
 		before := st
 
-		n := materializeConsts(g)
+		// One variable scan and one constant fixpoint serve the whole
+		// round. The passes read only the router and exit-live slots
+		// of vars, which no pass changes, and consts stays exact across
+		// materialization (see foldBranches).
+		vars := analysis.CollectVars(g)
+		consts := analysis.ConstFacts(g, vars)
+
+		n := materializeConsts(g, consts)
 		st.ConstFolds += n
 		if err := check("const-materialize"); err != nil {
 			return st, err
 		}
 
-		n = foldBranches(g)
+		n = foldBranches(g, consts)
 		st.BranchesPruned += n
 		if err := check("branch-fold"); err != nil {
 			return st, err
 		}
 
 		if o.Level >= 2 {
-			n = propagateCopies(g)
+			n = propagateCopies(g, vars)
 			st.CopiesPropagated += n
 			if err := check("copy-propagate"); err != nil {
 				return st, err
 			}
 		}
 
-		n = elimDeadStores(g)
+		n = elimDeadStores(g, vars)
 		st.DeadStores += n
 		if err := check("dead-store-elim"); err != nil {
 			return st, err

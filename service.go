@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"msc/internal/obs"
+	"msc/internal/simd"
 	"msc/internal/telemetry"
 )
 
@@ -474,7 +475,16 @@ func (s *CompileService) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// requestConfig assembles the effective Config for one request.
+// maxRunWidth is the widest run.n a service request may ask for. Every
+// engine sizes its PE memory from the width before the first step, so
+// the width is the request's memory bill; the ceiling is
+// simd.ObsWidthCap, the widest SIMD run the ?trace=1 path accepts.
+const maxRunWidth = simd.ObsWidthCap
+
+// requestConfig assembles the effective Config for one request. It
+// also checks the optional run against the service's run ceilings,
+// clamping run.max_steps to DefaultMaxSteps in place, so a request is
+// refused or capped before it is admitted.
 func (s *CompileService) requestConfig(req *CompileRequest, r *http.Request) (Config, error) {
 	conf := DefaultConfig()
 	if req.Config != nil {
@@ -511,10 +521,17 @@ func (s *CompileService) requestConfig(req *CompileRequest, r *http.Request) (Co
 	if err := conf.Validate(); err != nil {
 		return Config{}, err
 	}
-	if req.Run != nil {
-		if e := req.Run.Engine; e != "" && e != "simd" && e != "mimd" && e != "interp" {
+	if wr := req.Run; wr != nil {
+		if e := wr.Engine; e != "" && e != "simd" && e != "mimd" && e != "interp" {
 			return Config{}, fmt.Errorf("msc: run.engine must be simd, mimd, or interp, got %q", e)
 		}
+		if wr.N > maxRunWidth {
+			return Config{}, fmt.Errorf("msc: run.n %d exceeds the service's width ceiling of %d PEs", wr.N, maxRunWidth)
+		}
+		if wr.MaxSteps < 0 {
+			return Config{}, fmt.Errorf("msc: run.max_steps must be >= 0 (0 means the default of %d), got %d", DefaultMaxSteps, wr.MaxSteps)
+		}
+		wr.MaxSteps = clampLimit(wr.MaxSteps, DefaultMaxSteps)
 	}
 	for _, e := range req.Emit {
 		if e != "mpl" && e != "dot" {

@@ -503,3 +503,68 @@ func TestServiceCeilingsClampEveryLimit(t *testing.T) {
 		svc.Close()
 	}
 }
+
+// TestServiceRunWidthCeiling: a run.n above the 65,536-PE ceiling is
+// refused with 400 before admission, so no compile runs and no engine
+// sizes memory for it.
+func TestServiceRunWidthCeiling(t *testing.T) {
+	svc := msc.NewCompileService(msc.ServiceConfig{})
+	defer svc.Close()
+	runs := svc.Registry().Counter(obs.CounterPipelineRuns, "")
+	src := "poly int x;\nvoid main()\n{\n    x = iproc;\n    return;\n}\n"
+	w := postCompile(t, svc, "/compile", compileBody(t, src, `"run": {"engine": "simd", "n": 65537}`))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body %s", w.Code, w.Body.String())
+	}
+	if eb := decodeError(t, w); eb.Error != "invalid" || !strings.Contains(eb.Message, "65536") {
+		t.Fatalf("error = %+v, want invalid naming the 65536-PE ceiling", eb)
+	}
+	if n := runs.Value(); n != 0 {
+		t.Fatalf("compile.pipeline_runs = %d after a refused request, want 0", n)
+	}
+	w = postCompile(t, svc, "/compile", compileBody(t, src, `"run": {"engine": "mimd", "n": 8}`))
+	if w.Code != http.StatusOK || runs.Value() != 1 {
+		t.Fatalf("status = %d, pipeline runs %d after a width inside the ceiling, want 200 and 1", w.Code, runs.Value())
+	}
+}
+
+// TestServiceRunNegativeMaxSteps: a negative run.max_steps is refused
+// with 400 before any compile runs.
+func TestServiceRunNegativeMaxSteps(t *testing.T) {
+	svc := msc.NewCompileService(msc.ServiceConfig{})
+	defer svc.Close()
+	runs := svc.Registry().Counter(obs.CounterPipelineRuns, "")
+	src := readSource(t, "testdata/vet/barriers.mc")
+	w := postCompile(t, svc, "/compile", compileBody(t, src, `"run": {"engine": "mimd", "n": 4, "max_steps": -1}`))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body %s", w.Code, w.Body.String())
+	}
+	if n := runs.Value(); n != 0 {
+		t.Fatalf("compile.pipeline_runs = %d after a refused request, want 0", n)
+	}
+	if eb := decodeError(t, w); eb.Error != "invalid" || !strings.Contains(eb.Message, "max_steps") {
+		t.Fatalf("error = %+v, want invalid naming max_steps", eb)
+	}
+}
+
+// TestServiceRunMaxStepsClamped: a run.max_steps above DefaultMaxSteps
+// cannot lift the engines' step bound. A non-terminating program stops
+// at the default bound with 422; the request deadline only keeps an
+// unclamped service from holding the test for good.
+func TestServiceRunMaxStepsClamped(t *testing.T) {
+	svc := msc.NewCompileService(msc.ServiceConfig{})
+	defer svc.Close()
+	src := readSource(t, "testdata/robust/nonterminating.mc")
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	body := compileBody(t, src, `"run": {"engine": "mimd", "n": 1, "max_steps": 1099511627776}`)
+	req := httptest.NewRequest("POST", "/compile", strings.NewReader(body)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	svc.ServeHTTP(w, req)
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422; body %s", w.Code, w.Body.String())
+	}
+	if eb := decodeError(t, w); eb.Error != "step_limit" || eb.Limit != msc.DefaultMaxSteps {
+		t.Fatalf("error = %+v, want step_limit at the default bound %d", eb, msc.DefaultMaxSteps)
+	}
+}
