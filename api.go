@@ -79,7 +79,9 @@ const DefaultMaxSteps = mscerr.DefaultMaxSteps
 // (and, with Config.Degrade, trigger the degradation ladder instead).
 type Limits struct {
 	// Deadline is the wall-clock budget per compile attempt. Exceeding
-	// it returns a *BudgetError with Resource "wall_clock".
+	// it returns a *BudgetError with Resource "wall_clock". A
+	// CompileService also bounds a request's run by it, as a fresh
+	// budget with Phase "run".
 	Deadline time.Duration
 	// MaxStates caps the meta-state automaton size (Resource
 	// "meta_states"). Non-zero wins over Config.MaxStates.
@@ -542,37 +544,47 @@ func (pr *pipelineRun) run(phase string, fn func() error) (err error) {
 // budget).
 func compileOnce(ctx context.Context, source string, conf Config, rec *obs.Recorder, span *telemetry.Span) (*Compiled, error) {
 	start := time.Now()
-	// The wall-clock budget is "ours" only when it is the binding
-	// deadline: a caller context that already expires sooner governs, and
-	// exceeding it must surface as the caller's DeadlineExceeded — not as
-	// a budget overrun that Degrade would pointlessly retry against a
-	// dead context.
-	ownDeadline := conf.Limits.Deadline > 0
-	if ownDeadline {
-		if pd, ok := ctx.Deadline(); ok && time.Until(pd) <= conf.Limits.Deadline {
-			ownDeadline = false
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, conf.Limits.Deadline)
-		defer cancel()
-	}
+	ctx, cancel, ownDeadline := withWallClock(ctx, conf.Limits.Deadline)
+	defer cancel()
 	pr := &pipelineRun{ctx: ctx, rec: rec, tracer: conf.Tracer, parent: span}
 
 	c, err := pipeline(pr, source, conf, rec)
 	if err != nil && ownDeadline && errors.Is(err, context.DeadlineExceeded) {
 		// The attempt's own wall-clock budget ran out: report it as a
-		// budget overrun so Degrade can retry with cheaper settings. The
-		// deadline error stays in the chain via Err, so callers matching
-		// errors.Is(err, context.DeadlineExceeded) still see it.
-		return nil, &BudgetError{
-			Phase:    pr.phase,
-			Resource: "wall_clock",
-			Limit:    int64(conf.Limits.Deadline),
-			Used:     int64(time.Since(start)),
-			Err:      context.DeadlineExceeded,
-		}
+		// budget overrun so Degrade can retry with cheaper settings.
+		return nil, wallClockOverrun(pr.phase, conf.Limits.Deadline, start)
 	}
 	return c, err
+}
+
+// withWallClock bounds ctx by a fresh wall-clock budget d when d > 0.
+// The budget is "ours" (own is true) only when it is the binding
+// deadline: a caller context that already expires sooner governs, and
+// exceeding it must surface as the caller's DeadlineExceeded — not as
+// a budget overrun that Degrade would pointlessly retry against a dead
+// context.
+func withWallClock(ctx context.Context, d time.Duration) (_ context.Context, cancel context.CancelFunc, own bool) {
+	if d <= 0 {
+		return ctx, func() {}, false
+	}
+	pd, ok := ctx.Deadline()
+	own = !ok || time.Until(pd) > d
+	ctx, cancel = context.WithTimeout(ctx, d)
+	return ctx, cancel, own
+}
+
+// wallClockOverrun reports that phase ran out of its own wall-clock
+// budget d, started at start. The deadline error stays in the chain via
+// Err, so callers matching errors.Is(err, context.DeadlineExceeded)
+// still see it.
+func wallClockOverrun(phase string, d time.Duration, start time.Time) *BudgetError {
+	return &BudgetError{
+		Phase:    phase,
+		Resource: "wall_clock",
+		Limit:    int64(d),
+		Used:     int64(time.Since(start)),
+		Err:      context.DeadlineExceeded,
+	}
 }
 
 // pipeline is the phase sequence itself.

@@ -53,7 +53,7 @@ func run() int {
 	addr := flag.String("addr", ":8377", "listen address (use 127.0.0.1:0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "concurrent compile workers (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond the workers (0 = 4x workers)")
-	deadline := flag.Duration("deadline", 10*time.Second, "per-compile wall-clock ceiling (0 = none)")
+	deadline := flag.Duration("deadline", 10*time.Second, "wall-clock ceiling for each compile and, as a fresh budget, each requested run (0 = none)")
 	maxStates := flag.Int("max-states", 0, "per-compile meta-state ceiling (0 = none)")
 	maxBody := flag.Int64("max-body", 1<<20, "request body cap in bytes")
 	drain := flag.Duration("drain", 15*time.Second, "graceful drain bound on SIGTERM/SIGINT")

@@ -8,6 +8,7 @@
 package codegen
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -45,6 +46,12 @@ type Options struct {
 }
 
 // Compile lowers an automaton to a SIMD program.
+//
+// The program shares sets instead of copying them: each MetaCode.Set is
+// its automaton state's own set, each DispatchEntry.Key is its target
+// state's set, every singleton guard is one set per MIMD state, and
+// switches with identical transition lists share one HashFn. Nothing
+// downstream writes them (see simd.MetaCode).
 func Compile(a *msc.Automaton, opt Options) (*simd.Program, error) {
 	p := &simd.Program{
 		Start:            a.Start,
@@ -55,8 +62,16 @@ func Compile(a *msc.Automaton, opt Options) (*simd.Program, error) {
 		VarSlot:          a.G.VarSlot,
 		RetSlot:          a.G.RetSlot,
 	}
+	cc := &compiler{
+		a:   a,
+		opt: opt,
+		// Superset dispatch cannot go through an exact hash table.
+		hash:   opt.Hash && !p.SupersetDispatch,
+		guards: make([]*bitset.Set, len(a.G.Blocks)),
+	}
+	p.Meta = make([]*simd.MetaCode, 0, len(a.States))
 	for _, ms := range a.States {
-		mc, err := compileMeta(a, ms, opt)
+		mc, err := cc.compileMeta(ms)
 		if err != nil {
 			return nil, err
 		}
@@ -74,36 +89,84 @@ func MustCompile(a *msc.Automaton, opt Options) *simd.Program {
 	return p
 }
 
-func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCode, error) {
-	mc := &simd.MetaCode{ID: ms.ID, Set: ms.Set.Clone()}
+// compiler is one Compile call's state: what its meta states share,
+// and per-meta-state scratch.
+type compiler struct {
+	a    *msc.Automaton
+	opt  Options
+	hash bool // multiway switches try a customized hash function
+
+	// guards[id] is MIMD state id's singleton guard, built on first use.
+	// It serves every slot that state alone executes.
+	guards []*bitset.Set
+	// searched memoizes the hash search by transition list; it is
+	// created at the first hashed switch. keyBuf encodes the lookup key.
+	searched map[string]hashResult
+	keyBuf   []byte
+
+	members []*cfg.Block
+	threads []csi.Thread
+	next    []int
+}
+
+// hashResult is one switch's hash search outcome: whether the search
+// ran (it does not when a key exceeds the apc word), the candidates it
+// tried, and the function it found, if any.
+type hashResult struct {
+	searched bool
+	tried    int
+	h        *simd.HashFn
+}
+
+// guard returns MIMD state id's singleton guard.
+func (cc *compiler) guard(id int) *bitset.Set {
+	g := cc.guards[id]
+	if g == nil {
+		g = bitset.Of(id)
+		cc.guards[id] = g
+	}
+	return g
+}
+
+func (cc *compiler) compileMeta(ms *msc.MetaState) (*simd.MetaCode, error) {
+	a, opt := cc.a, cc.opt
+	mc := &simd.MetaCode{ID: ms.ID, Set: ms.Set}
 
 	// Which members execute: in exact barrier mode, barrier-wait states
 	// inside a mixed meta state just wait (§2.6); in paper mode mixed
 	// states never exist and all-barrier states execute on release.
 	allBarrier := ms.Set.Subset(a.Barriers)
-	ids := ms.Set.Elems()
-	members := make([]*cfg.Block, 0, len(ids))
+	members := cc.members[:0]
 	bodyLen := 0
-	for _, id := range ids {
+	missing := -1
+	ms.Set.ForEach(func(id int) {
 		b := a.G.Block(id)
 		if b == nil {
-			return nil, fmt.Errorf("codegen: ms%d references missing MIMD state %d", ms.ID, id)
+			if missing < 0 {
+				missing = id
+			}
+			return
 		}
 		if b.Barrier && !allBarrier {
-			continue // waiting: contributes no code, pc unchanged
+			return // waiting: contributes no code, pc unchanged
 		}
 		members = append(members, b)
 		bodyLen += len(b.Code)
+	})
+	cc.members = members
+	if missing >= 0 {
+		return nil, fmt.Errorf("codegen: ms%d references missing MIMD state %d", ms.ID, missing)
 	}
 
 	// Body: one guarded slot per instruction, optionally CSI-merged.
 	// Slots are allocated once: the body plus one terminator slot per
 	// member (every TermKind emits exactly one).
 	if opt.CSI {
-		threads := make([]csi.Thread, len(members))
-		for i, b := range members {
-			threads[i] = csi.Thread{Guard: bitset.Of(b.ID), Code: b.Code}
+		threads := cc.threads[:0]
+		for _, b := range members {
+			threads = append(threads, csi.Thread{Guard: cc.guard(b.ID), Code: b.Code})
 		}
+		cc.threads = threads
 		sched, err := csi.InduceLimited(threads, csi.Limits{MaxCandidates: opt.MaxCSICandidates})
 		if err != nil {
 			var be *mscerr.BudgetError
@@ -121,7 +184,8 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		// Each member's projection of the schedule is its own code, so
 		// next[i] is the index in members[i].Code of the next slot
 		// members[i] executes.
-		next := make([]int, len(members))
+		next := append(cc.next[:0], make([]int, len(members))...)
+		cc.next = next
 		member := func(id int) int {
 			return sort.Search(len(members), func(i int) bool { return members[i].ID >= id })
 		}
@@ -145,7 +209,7 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 	} else {
 		mc.Slots = make([]simd.Slot, 0, bodyLen+len(members))
 		for _, b := range members {
-			guard := bitset.Of(b.ID)
+			guard := cc.guard(b.ID)
 			for _, in := range b.Code {
 				mc.Slots = append(mc.Slots, simd.Slot{
 					Kind:  simd.SlotExec,
@@ -162,7 +226,7 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 	// after the shared body).
 	exitCheck := false
 	for _, b := range members {
-		guard := bitset.Of(b.ID)
+		guard := cc.guard(b.ID)
 		switch b.Term {
 		case cfg.End:
 			mc.Slots = append(mc.Slots, simd.Slot{Kind: simd.SlotEnd, Guard: guard, Block: b.ID, Pos: b.Pos})
@@ -185,11 +249,11 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		}
 	}
 
-	// Transition encoding (§3.2).
+	// Transition encoding (§3.2). Each key is its target state's set.
 	if len(ms.Trans) > 0 {
 		mc.Trans.Entries = make([]simd.DispatchEntry, len(ms.Trans))
 		for i, to := range ms.Trans {
-			mc.Trans.Entries[i] = simd.DispatchEntry{Key: a.States[to].Set.Clone(), To: to}
+			mc.Trans.Entries[i] = simd.DispatchEntry{Key: a.States[to].Set, To: to}
 		}
 	}
 	opt.Metrics.Add(obs.CounterDispatchEntries, int64(len(mc.Trans.Entries)))
@@ -201,9 +265,8 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 		mc.Trans.ExitCheck = exitCheck
 	default:
 		mc.Trans.Kind = simd.TransSwitch
-		if opt.Hash && !(a.Opt.Compress || a.Opt.MergeSubsets || a.OverApprox) {
-			// Superset dispatch cannot go through an exact hash table.
-			if h := hashTable(mc.Trans.Entries, opt.Metrics); h != nil {
+		if cc.hash {
+			if h := cc.hashTable(mc.Trans.Entries); h != nil {
 				mc.Trans.Hash = h
 				opt.Metrics.Add(obs.CounterHashTables, 1)
 			}
@@ -217,35 +280,59 @@ func compileMeta(a *msc.Automaton, ms *msc.MetaState, opt Options) (*simd.MetaCo
 // switches real meta states produce).
 const maxHashedWays = 32
 
-// hashTable builds a customized hash function over the dispatch keys, or
-// nil when the keys exceed the one-bit-per-pc word or no function is
-// found. Search effort is recorded on rec even when the search fails.
-func hashTable(entries []simd.DispatchEntry, rec *obs.Recorder) *simd.HashFn {
+// hashTable returns a customized hash function over a switch's
+// dispatch keys, or nil when the keys exceed the one-bit-per-pc word or
+// no function is found. Search effort is
+// recorded even when the search fails.
+//
+// Switches with equal transition lists have equal keys (each key is
+// its target state's set) and equal targets, so the search runs once
+// per distinct list and they share the resulting function. Every
+// switch still records the search's effort, as if it had searched.
+func (cc *compiler) hashTable(entries []simd.DispatchEntry) *simd.HashFn {
 	if len(entries) > maxHashedWays {
 		return nil
 	}
+	cc.keyBuf = cc.keyBuf[:0]
+	for _, e := range entries {
+		cc.keyBuf = binary.AppendUvarint(cc.keyBuf, uint64(e.To))
+	}
+	r, ok := cc.searched[string(cc.keyBuf)]
+	if !ok {
+		r = searchHash(entries)
+		if cc.searched == nil {
+			cc.searched = make(map[string]hashResult)
+		}
+		cc.searched[string(cc.keyBuf)] = r
+	}
+	if r.searched {
+		cc.opt.Metrics.Add(obs.CounterHashTried, int64(r.tried))
+	}
+	return r.h
+}
+
+// searchHash runs the hash search over the entries' keys and builds
+// the function's jump table.
+func searchHash(entries []simd.DispatchEntry) hashResult {
 	keys := make([]uint64, len(entries))
-	tos := make([]int, len(entries))
 	for i, e := range entries {
 		w, ok := e.Key.Word()
 		if !ok {
-			return nil
+			return hashResult{}
 		}
 		keys[i] = w
-		tos[i] = e.To
 	}
 	h, tried, err := hashgen.Search(keys)
-	rec.Add(obs.CounterHashTried, int64(tried))
 	if err != nil {
-		return nil
+		return hashResult{searched: true, tried: tried}
 	}
 	table := make([]int, h.Mask+1)
 	for i := range table {
 		table[i] = -1
 	}
 	for i, k := range keys {
-		table[h.Index(k)] = tos[i]
+		table[h.Index(k)] = entries[i].To
 	}
 	h.Table = table
-	return h
+	return hashResult{searched: true, tried: tried, h: h}
 }

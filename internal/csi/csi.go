@@ -50,7 +50,9 @@ type Thread struct {
 }
 
 // Slot is one scheduled broadcast: the instruction and the union of the
-// guards of every thread that executes it.
+// guards of every thread that executes it. A slot that one thread
+// executes shares that thread's Guard, so callers must not mutate
+// either.
 type Slot struct {
 	Guard *bitset.Set
 	Instr ir.Instr
@@ -495,14 +497,20 @@ func (k *kernel) linearize() ([]Slot, error) {
 			return nil, fmt.Errorf("csi: precedence cycle in linearize (merge bug; %d of %d nodes scheduled)",
 				len(slots), len(k.class))
 		}
+		// A slot one thread executes shares that thread's guard; a
+		// merged slot gets a fresh union.
 		var guard *bitset.Set
+		owned := false
 		for t, p := range k.seq[int(pick)*k.nt : (int(pick)+1)*k.nt] {
 			if p < 0 {
 				continue
 			}
-			if guard == nil {
-				guard = k.threads[t].Guard.Clone()
-			} else {
+			switch {
+			case guard == nil:
+				guard = k.threads[t].Guard
+			case !owned:
+				guard, owned = guard.Union(k.threads[t].Guard), true
+			default:
 				guard.UnionWith(k.threads[t].Guard)
 			}
 			if head[t]++; int(head[t]) < k.off[t+1] {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -495,10 +496,11 @@ func (c *converter) commit(ms *MetaState, exp expansion) error {
 	if exp.overApprox {
 		c.a.OverApprox = true
 	}
+	// One arc per aggregate, barring §2.6 release states.
+	ms.Trans = slices.Grow(ms.Trans, len(exp.raw))
 	for _, raw := range exp.raw {
 		if raw.Empty() {
 			ms.Exit = true
-			c.pool.put(raw)
 			continue
 		}
 		target := raw
@@ -528,8 +530,10 @@ func (c *converter) commit(ms *MetaState, exp expansion) error {
 			return err
 		}
 		ms.Trans = append(ms.Trans, to)
-		c.pool.put(raw)
 	}
+	// Interning copies what it keeps, so the expansion's sets retire to
+	// the pool together.
+	c.pool.put(exp.raw...)
 	ms.Trans = c.a.sortSuccs(ms.Trans)
 	return nil
 }

@@ -60,6 +60,9 @@ const (
 // Slot is one control-unit broadcast: a guard over entry pc values and
 // an action. Every PE pays the cycle cost whether enabled or not — that
 // is the essence of SIMD serialization.
+//
+// Guard may be shared with other slots of the program (codegen builds
+// one singleton guard per MIMD state); it must not be mutated.
 type Slot struct {
 	Kind    SlotKind
 	Guard   *bitset.Set // enabled iff entry pc ∈ Guard
@@ -95,7 +98,8 @@ func (s *Slot) Cost() int {
 }
 
 // DispatchEntry maps one barrier-filtered aggregate to the next meta
-// state.
+// state. Key is normally the target meta state's own Set, shared with
+// every other entry that targets it; it must not be mutated.
 type DispatchEntry struct {
 	Key *bitset.Set
 	To  int
@@ -165,6 +169,8 @@ type Trans struct {
 	// unconditional arcs (some member state has no exit arcs).
 	ExitCheck bool
 	// Hash, when non-nil, dispatches TransSwitch through a jump table.
+	// Switches with identical entries may share one HashFn; it must not
+	// be mutated.
 	Hash *HashFn
 }
 
@@ -192,9 +198,16 @@ func (t *Trans) Cost() int {
 }
 
 // MetaCode is the compiled body of one meta state.
+//
+// A compiled program shares its sets instead of copying them: Set is
+// the automaton state's own set and the dispatch keys that target this
+// meta state, slot guards are shared across slots and meta states, and
+// a hash function may serve several switches. Every reader (the VMs,
+// the artifact codec, the Go backend, the MPL and Dot emitters, the
+// profiler) only reads them; nothing may mutate them.
 type MetaCode struct {
 	ID    int
-	Set   *bitset.Set // MIMD states merged into this meta state
+	Set   *bitset.Set // MIMD states merged into this meta state; read-only
 	Slots []Slot
 	Trans Trans
 }

@@ -476,10 +476,16 @@ func (s *CompileService) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxRunWidth is the widest run.n a service request may ask for. Every
-// engine sizes its PE memory from the width before the first step, so
-// the width is the request's memory bill; the ceiling is
-// simd.ObsWidthCap, the widest SIMD run the ?trace=1 path accepts.
+// engine sizes its PE memory from the width before the first step; the
+// ceiling is simd.ObsWidthCap, the widest SIMD run the ?trace=1 path
+// accepts.
 const maxRunWidth = simd.ObsWidthCap
+
+// maxRunMemBytes bounds a run's PE memory: the width times the words
+// per PE the chosen engine sizes, 8 bytes each. The words are known
+// only after the compile, so runOne refuses a run past the ceiling
+// before the engine allocates.
+const maxRunMemBytes = 1 << 30
 
 // requestConfig assembles the effective Config for one request. It
 // also checks the optional run against the service's run ceilings,
@@ -574,7 +580,7 @@ func (s *CompileService) compileOne(ctx context.Context, req *CompileRequest, co
 		}
 	}
 	if req.Run != nil {
-		rr, err := s.runOne(ctx, c, req.Run, nil)
+		rr, err := s.runOne(ctx, c, req.Run, conf.Limits.Deadline, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -583,9 +589,12 @@ func (s *CompileService) compileOne(ctx context.Context, req *CompileRequest, co
 	return resp, nil
 }
 
-// runOne executes the optional post-compile run. sink, when non-nil,
-// receives the SIMD engine's typed trace events (the streaming path).
-func (s *CompileService) runOne(ctx context.Context, c *Compiled, wr *WireRun, sink obs.Sink) (*RunResponse, error) {
+// runOne executes the optional post-compile run. A run past the memory
+// ceiling is refused before the engine allocates, and a positive
+// deadline bounds the run as a fresh wall-clock budget, as a degrade
+// attempt gets one. sink, when non-nil, receives the SIMD engine's
+// typed trace events (the streaming path).
+func (s *CompileService) runOne(ctx context.Context, c *Compiled, wr *WireRun, deadline time.Duration, sink obs.Sink) (*RunResponse, error) {
 	rc := RunConfig{N: wr.N, MaxSteps: wr.MaxSteps, Metrics: s.cfg.Registry}
 	if rc.N <= 0 {
 		rc.N = 16
@@ -594,25 +603,47 @@ func (s *CompileService) runOne(ctx context.Context, c *Compiled, wr *WireRun, s
 	if engine == "" {
 		engine = "simd"
 	}
+	// The SIMD engine sizes the program's words per PE; mimd and interp
+	// run the MIMD state graph.
+	words := c.Graph.Words
+	if engine == "simd" {
+		words = c.Program.Words
+	}
+	const wordBytes = 8 // ir.Word
+	if words > 0 && int64(rc.N) > maxRunMemBytes/wordBytes/int64(words) {
+		return nil, fmt.Errorf("msc: run of %d PEs × %d words per PE exceeds the service's run memory ceiling of %d bytes",
+			rc.N, words, maxRunMemBytes)
+	}
+
+	start := time.Now()
+	ctx, cancel, ownDeadline := withWallClock(ctx, deadline)
+	defer cancel()
+	runErr := func(err error) error {
+		if ownDeadline && errors.Is(err, context.DeadlineExceeded) {
+			s.rec.Add(obs.BudgetCounterPrefix+"wall_clock", 1)
+			return wallClockOverrun("run", deadline, start)
+		}
+		return err
+	}
 	var cycles int64
 	switch engine {
 	case "simd":
 		rc.Sink = sink
 		res, err := c.RunSIMDContext(ctx, rc)
 		if err != nil {
-			return nil, err
+			return nil, runErr(err)
 		}
 		cycles = res.Time
 	case "mimd":
 		res, err := c.RunMIMDContext(ctx, rc)
 		if err != nil {
-			return nil, err
+			return nil, runErr(err)
 		}
 		cycles = res.Time
 	default:
 		res, err := c.RunInterpContext(ctx, rc)
 		if err != nil {
-			return nil, err
+			return nil, runErr(err)
 		}
 		cycles = res.Time
 	}
@@ -715,7 +746,7 @@ func (s *CompileService) compileStreaming(ctx context.Context, w http.ResponseWr
 		}
 		if req.Run != nil {
 			sink := obs.NewSyncSink(&obs.JSONLSink{W: &envelopeWriter{out: out, key: "event"}})
-			resp.Run, err = s.runOne(ctx, c, req.Run, sink)
+			resp.Run, err = s.runOne(ctx, c, req.Run, conf.Limits.Deadline, sink)
 		}
 	}
 	// Flush every span the compile produced before the final envelope,

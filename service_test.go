@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"msc/internal/faultinject"
 	"msc/internal/harness"
 	"msc/internal/obs"
+	"msc/internal/telemetry"
 )
 
 // The CompileService tests drive the handler directly — no sockets —
@@ -525,6 +527,114 @@ func TestServiceRunWidthCeiling(t *testing.T) {
 	w = postCompile(t, svc, "/compile", compileBody(t, src, `"run": {"engine": "mimd", "n": 8}`))
 	if w.Code != http.StatusOK || runs.Value() != 1 {
 		t.Fatalf("status = %d, pipeline runs %d after a width inside the ceiling, want 200 and 1", w.Code, runs.Value())
+	}
+}
+
+// TestServiceRunMemoryCeiling: one 4,194,304-word array run on 1,024
+// PEs would bill 32 GiB of PE memory. The run is refused with 400,
+// naming the ceiling, before any engine allocates; only the compile's
+// own allocations remain, far below the bill. A run inside the ceiling
+// still goes through.
+func TestServiceRunMemoryCeiling(t *testing.T) {
+	svc := msc.NewCompileService(msc.ServiceConfig{})
+	defer svc.Close()
+	src := "poly int a[4194304];\nvoid main()\n{\n    a[0] = iproc;\n    return;\n}\n"
+	for _, engine := range []string{"simd", "mimd", "interp"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		w := postCompile(t, svc, "/compile", compileBody(t, src, fmt.Sprintf(`"run": {"engine": %q, "n": 1024}`, engine)))
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400; body %s", engine, w.Code, w.Body.String())
+		}
+		if eb := decodeError(t, w); eb.Error != "invalid" || !strings.Contains(eb.Message, "1073741824") {
+			t.Fatalf("%s: error = %+v, want invalid naming the 1073741824-byte ceiling", engine, eb)
+		}
+		const bill = 1024 * 4194304 * 8
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bill/64 {
+			t.Fatalf("%s: a refused run allocated %d bytes; its bill is %d", engine, alloc, int64(bill))
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("%s: refusal took %v", engine, elapsed)
+		}
+	}
+	w := postCompile(t, svc, "/compile", compileBody(t, src, `"run": {"engine": "simd", "n": 2}`))
+	if w.Code != http.StatusOK {
+		t.Fatalf("run inside the ceiling: status = %d, want 200; body %s", w.Code, w.Body.String())
+	}
+}
+
+// TestServiceRunDeadline: the request's deadline bounds the run as well
+// as the compile. A non-terminating program with deadline_ms 200 gets
+// 429 budget for phase run within seconds, on the plain and on the
+// streaming path, instead of running to the step limit.
+func TestServiceRunDeadline(t *testing.T) {
+	svc := msc.NewCompileService(msc.ServiceConfig{})
+	defer svc.Close()
+	src := readSource(t, "testdata/robust/nonterminating.mc")
+	body := compileBody(t, src, `"limits": {"deadline_ms": 200}, "run": {"engine": "simd", "n": 1}`)
+	start := time.Now()
+	w := postCompile(t, svc, "/compile", body)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("request took %v, want under 5s", elapsed)
+	}
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429; body %s", w.Code, w.Body.String())
+	}
+	if eb := decodeError(t, w); eb.Error != "budget" || eb.Phase != "run" || eb.Resource != "wall_clock" {
+		t.Fatalf("error = %+v, want budget for phase run, resource wall_clock", eb)
+	}
+
+	start = time.Now()
+	w = postCompile(t, svc, "/compile?trace=1", body)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("streaming request took %v, want under 5s", elapsed)
+	}
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	var last struct {
+		Fail *msc.ErrorBody `json:"fail"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Fail == nil ||
+		last.Fail.Error != "budget" || last.Fail.Phase != "run" {
+		t.Fatalf("streaming: last line %s, want a fail envelope with budget for phase run", lines[len(lines)-1])
+	}
+	if n := svc.Registry().Counter(obs.BudgetCounterPrefix+"wall_clock", "").Value(); n != 2 {
+		t.Fatalf("budget.wall_clock = %d after two run overruns, want 2", n)
+	}
+}
+
+// TestServiceRunCallerDeadline: a caller deadline that expires before
+// the request's own is the caller's, by the rule the compile's deadline
+// follows: the streaming path reports canceled, not budget, and the
+// plain path counts a client-closed request, not a 429.
+func TestServiceRunCallerDeadline(t *testing.T) {
+	svc := msc.NewCompileService(msc.ServiceConfig{})
+	defer svc.Close()
+	src := readSource(t, "testdata/robust/nonterminating.mc")
+	body := compileBody(t, src, `"limits": {"deadline_ms": 60000}, "run": {"engine": "simd", "n": 1}`)
+	post := func(path string) *httptest.ResponseRecorder {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		defer cancel()
+		req := httptest.NewRequest("POST", path, strings.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		svc.ServeHTTP(w, req)
+		return w
+	}
+	w := post("/compile?trace=1")
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	var last struct {
+		Fail *msc.ErrorBody `json:"fail"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Fail == nil || last.Fail.Error != "canceled" {
+		t.Fatalf("streaming: last line %s, want a fail envelope with canceled", lines[len(lines)-1])
+	}
+	post("/compile")
+	closed := svc.Registry().Counter("service.responses", "", telemetry.Label{Name: "status", Value: "499"})
+	budget := svc.Registry().Counter("service.responses", "", telemetry.Label{Name: "status", Value: "429"})
+	if closed.Value() != 1 || budget.Value() != 0 {
+		t.Fatalf("responses: %d client-closed and %d 429, want 1 and 0", closed.Value(), budget.Value())
 	}
 }
 
