@@ -96,6 +96,7 @@ fuzz:
 	go test -run '^$$' -fuzz=FuzzStackBalance -fuzztime=30s ./internal/mimdc/
 	go test -fuzz=FuzzPromEscape -fuzztime=30s ./internal/telemetry/
 	go test -fuzz=FuzzArtifactDecode -fuzztime=30s ./internal/artifact/
+	go test -run '^$$' -fuzz=FuzzRunDecoded -fuzztime=30s ./internal/artifact/
 	go test -fuzz=FuzzInduce -fuzztime=30s ./internal/csi/
 	go test -fuzz=FuzzDataflow -fuzztime=30s ./internal/analysis/
 	go test -run '^$$' -fuzz=FuzzOptDifferential -fuzztime=60s .

@@ -271,56 +271,115 @@ func TestFingerprintExcludesStats(t *testing.T) {
 // times.
 const loopSource = "poly int x;\nvoid main() { x = iproc % 4; do { x = x - 1; } while (x); return; }"
 
-// forgeLoopBody inserts slot into loopSource's compiled loop body, the
-// state that executes the Sub, before that state's first slot that
-// satisfies at, under that slot's guard. It reports whether it found
+// insertAt returns a forgery that finds the first slot of a program
+// satisfying at and inserts slots before it (offset 0) or after it
+// (offset 1), under its guard and block. It reports whether it found
 // one.
-func forgeLoopBody(p *simd.Program, slot simd.Slot, at func(simd.Slot) bool) bool {
-	for _, m := range p.Meta {
-		j := slices.IndexFunc(m.Slots, func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec && sl.Instr.Op == ir.Sub })
-		if j < 0 {
-			continue
+func insertAt(at func(simd.Slot) bool, offset int, slots ...simd.Slot) func(*simd.Program) bool {
+	return func(p *simd.Program) bool {
+		for _, m := range p.Meta {
+			if k := slices.IndexFunc(m.Slots, at); k >= 0 {
+				for i := range slots {
+					slots[i].Guard, slots[i].Block = m.Slots[k].Guard, m.Slots[k].Block
+				}
+				m.Slots = slices.Insert(m.Slots, k+offset, slots...)
+				return true
+			}
 		}
-		body := m.Slots[j].Block
-		if k := slices.IndexFunc(m.Slots, func(sl simd.Slot) bool { return sl.Block == body && at(sl) }); k >= 0 {
-			slot.Guard, slot.Block = m.Slots[k].Guard, body
-			m.Slots = slices.Insert(m.Slots, k, slot)
-			return true
-		}
+		return false
 	}
-	return false
 }
 
-// TestUnbalancedProgramIsCorrupt re-encodes a compiled artifact whose
-// loop body pushes one value more than it pops, and one whose loop body
-// has a second terminator. Decoding must reject both as corrupt:
-// the VM sizes evaluation-stack rows on the balanced-block rule, and a
-// decoded program never passes cfg.Verify.
+// TestUnbalancedProgramIsCorrupt re-encodes loopSource's compiled
+// artifact forged in ways cfg.Verify would reject, and a decoded
+// program never passes cfg.Verify: a loop body that pushes one value
+// more than it pops or has a second terminator, stack code that pops
+// below a state's depth only when Pop -1 pops nothing or a JumpF's
+// pop is counted where it happens, and MIMD state numbers or sizes
+// out of range. Decoding must reject each as corrupt, and Run must
+// refuse each whose rule the VM relies on (all but the terminator
+// count) with a *simd.ProgramError instead of underflowing or
+// panicking.
 func TestUnbalancedProgramIsCorrupt(t *testing.T) {
-	isExec := func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec }
-	isTerm := func(sl simd.Slot) bool { return sl.Kind != simd.SlotExec }
+	isSub := func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec && sl.Instr.Op == ir.Sub }
+	isStore := func(sl simd.Slot) bool { return sl.Kind == simd.SlotExec && sl.Instr.Op == ir.StLocal }
+	isJumpF := func(sl simd.Slot) bool { return sl.Kind == simd.SlotJumpF }
+	isSetPC := func(sl simd.Slot) bool { return sl.Kind == simd.SlotSetPC }
+	isBodyTerm := func(sl simd.Slot) bool { return isSetPC(sl) && sl.Block == 2 }
+	exec := func(op ir.Op, imm int64) simd.Slot {
+		return simd.Slot{Kind: simd.SlotExec, Instr: ir.Instr{Op: op, Imm: imm}}
+	}
+	both := func(f, g func(*simd.Program) bool) func(*simd.Program) bool {
+		return func(p *simd.Program) bool { return f(p) && g(p) }
+	}
 	for _, tc := range []struct {
 		name   string
-		slot   simd.Slot
-		at     func(simd.Slot) bool
+		forge  func(*simd.Program) bool
 		reason string
+		vm     bool // a rule the VM relies on, so Run refuses it too
 	}{
-		{"push in loop body", simd.Slot{Kind: simd.SlotExec, Instr: ir.Instr{Op: ir.PushC, Imm: 1}}, isExec, "is unbalanced: net stack effect 1 (want 0)"},
-		{"second terminator", simd.Slot{Kind: simd.SlotSetPC}, isTerm, "has 2 terminator slots, want 1"},
+		{"push in loop body", insertAt(isSub, 0, exec(ir.PushC, 1)),
+			"ms1: state 2 is unbalanced: ends the body at depth 1", true},
+		{"second terminator", insertAt(isBodyTerm, 0, simd.Slot{Kind: simd.SlotSetPC}),
+			"meta 1 state 2 has a second terminator slot", false},
+		{"no terminator", func(p *simd.Program) bool {
+			m := p.Meta[1]
+			k := slices.IndexFunc(m.Slots, isBodyTerm)
+			if k < 0 {
+				return false
+			}
+			m.Slots = slices.Delete(m.Slots, k, k+1)
+			return true
+		}, "meta 1 state 2 has no terminator slot", false},
+		// Counted as a push, Pop -1 balanced an extra store.
+		{"negative pop", insertAt(isStore, 0, exec(ir.Pop, -1), exec(ir.StLocal, 0)),
+			"ms0 slot 5: state 0 is unbalanced: StLocal(0:x) at depth 0", true},
+		// The exec slots net the one value a JumpF wants, but the JumpF
+		// pops it before the Add.
+		{"pop past a JumpF", both(insertAt(isJumpF, 0, exec(ir.PushC, 7)), insertAt(isJumpF, 1, exec(ir.Add, 0))),
+			"ms2 slot 4: state 3 is unbalanced: Add at depth 1", true},
+		{"SetPC out of range", func(p *simd.Program) bool { return setTo(p, isSetPC, 99) },
+			"ms0 slot 4: SetPC target 99 outside [0,5)", true},
+		{"negative Words", func(p *simd.Program) bool { p.Words = -1; return true },
+			"negative Words -1", true},
+		{"negative NStates", func(p *simd.Program) bool { p.NStates = -1; return true },
+			"negative NStates -1", true},
 	} {
 		a := buildArtifact(t, loopSource, true, true, true)
 		if _, _, err := Decode(mustEncode(t, a)); err != nil {
 			t.Fatalf("%s: the unmodified program does not decode: %v", tc.name, err)
 		}
-		if !forgeLoopBody(a.Program, tc.slot, tc.at) {
-			t.Fatalf("%s: no loop body to forge", tc.name)
+		if !tc.forge(a.Program) {
+			t.Fatalf("%s: nothing to forge", tc.name)
 		}
 		_, _, err := Decode(mustEncode(t, a))
 		var ce *CorruptError
 		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason) {
-			t.Errorf("%s: Decode = %v, want a corrupt stream that %s", tc.name, err, tc.reason)
+			t.Errorf("%s: Decode = %v, want a corrupt stream with %q", tc.name, err, tc.reason)
+		}
+		if !tc.vm {
+			continue
+		}
+		restore := simd.SetChunkPEsForTest(64)
+		_, err = simd.Run(a.Program, simd.Config{N: 130, Workers: 2})
+		restore()
+		var pe *simd.ProgramError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Error(), tc.reason) {
+			t.Errorf("%s: Run = %v, want a *simd.ProgramError with %q", tc.name, err, tc.reason)
 		}
 	}
+}
+
+// setTo sets the To of the first slot satisfying at and reports
+// whether there was one.
+func setTo(p *simd.Program, at func(simd.Slot) bool, to int) bool {
+	for _, m := range p.Meta {
+		if k := slices.IndexFunc(m.Slots, at); k >= 0 {
+			m.Slots[k].To = to
+			return true
+		}
+	}
+	return false
 }
 
 func mustEncode(t *testing.T, a *Artifact) []byte {

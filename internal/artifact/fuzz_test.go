@@ -2,10 +2,20 @@ package artifact
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"msc/internal/cfg"
+	"msc/internal/simd"
 )
+
+// fuzzSources are the programs whose compiled artifacts seed the fuzz
+// targets, each converted with and without compression.
+var fuzzSources = []string{
+	"poly int x;\nvoid main() { x = iproc % 3; while (x) { x = x - 1; } return; }",
+	"poly int a[4];\nmono int m;\nvoid main() { a[iproc % 4] = iproc; m = a[1]; return; }",
+}
 
 // FuzzArtifactDecode feeds the codec arbitrary bytes, as a cache object
 // file can hold. Each input is sealed with a fresh whole-file digest
@@ -16,10 +26,7 @@ import (
 // outcomes the cache acts on.
 func FuzzArtifactDecode(f *testing.F) {
 	var g *cfg.Graph // the automaton decoder's compiled graph
-	for _, src := range []string{
-		"poly int x;\nvoid main() { x = iproc % 3; while (x) { x = x - 1; } return; }",
-		"poly int a[4];\nmono int m;\nvoid main() { a[iproc % 4] = iproc; m = a[1]; return; }",
-	} {
+	for _, src := range fuzzSources {
 		for _, compress := range []bool{false, true} {
 			a := buildArtifact(f, src, compress, true, true)
 			enc, err := Encode(a, testKey())
@@ -52,5 +59,49 @@ func FuzzArtifactDecode(f *testing.F) {
 		check("decodeAutomaton", err)
 		_, err = decodeProgram(body)
 		check("decodeProgram", err)
+	})
+}
+
+// Resource bounds for FuzzRunDecoded. A program's Words and NStates
+// size the engines' storage (width × Words memory words, one occupancy
+// mask per MIMD state), and the codec bounds neither, so without them
+// a mutated varint could ask the fuzzing machine for gigabytes;
+// runFuzzMaxMeta bounds the meta-state executions of one run.
+const (
+	maxRunFuzzWords  = 256
+	maxRunFuzzStates = 256
+	runFuzzMaxMeta   = 64
+)
+
+// FuzzRunDecoded runs every program the decoder admits on both SIMD
+// engines: the vectorized VM, which trusts the stack layout
+// simd.Validate proves and so checks no depth at run time, at one and
+// two workers over 64-PE chunks, and the reference VM, which checks
+// every pop. No input may panic, and both engines must give the same
+// Result or the same error text.
+func FuzzRunDecoded(f *testing.F) {
+	for _, src := range fuzzSources {
+		for _, compress := range []bool{false, true} {
+			f.Add(encodeProgram(buildArtifact(f, src, compress, true, true).Program))
+		}
+	}
+	defer simd.SetChunkPEsForTest(64)()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		p, err := decodeProgram(body)
+		if err != nil || p.Words > maxRunFuzzWords || p.NStates > maxRunFuzzStates {
+			return
+		}
+		conf := simd.Config{N: 130, MaxMeta: runFuzzMaxMeta}
+		want, wantErr := simd.ReferenceRun(p, conf)
+		for _, w := range []int{1, 2} {
+			conf.Workers = w
+			got, err := simd.Run(p, conf)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("workers=%d: error %v, reference %v", w, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: Result differs from the reference", w)
+			}
+		}
 	})
 }

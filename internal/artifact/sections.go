@@ -7,9 +7,6 @@ package artifact
 // engines.
 
 import (
-	"math/bits"
-	"slices"
-
 	"msc/internal/bitset"
 	"msc/internal/cfg"
 	"msc/internal/ir"
@@ -308,11 +305,11 @@ func decodeProgram(data []byte) (*simd.Program, error) {
 	if p.Barriers == nil {
 		return nil, corrupt("program: missing barrier set")
 	}
-	var bal balanceCheck
+	if err := simd.Validate(p); err != nil {
+		return nil, corrupt("program: %v", err)
+	}
+	var terms terminatorCheck
 	for i, m := range p.Meta {
-		if m.ID != i {
-			return nil, corrupt("program: meta %d carries ID %d", i, m.ID)
-		}
 		if m.Set == nil {
 			return nil, corrupt("program: meta %d missing set", i)
 		}
@@ -331,84 +328,37 @@ func decodeProgram(data []byte) (*simd.Program, error) {
 				}
 			}
 		}
-		if err := bal.check(m); err != nil {
+		if err := terms.check(m); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// balanceCheck applies the balanced-block rule cfg.Verify gives
-// compiled code to each decoded meta state, in one pass over its slots:
-// every PE state a slot guard names has exactly one terminator slot,
-// and its exec slots, in order, never pop below the entry depth and
-// leave one value (the condition a SlotJumpF pops) or none. The VM
-// sizes each chunk's evaluation-stack rows on this rule, so a forged
-// program that broke it could grow every PE's rows. The tables are
-// reused across one program's meta states.
-type balanceCheck struct {
-	named bitset.Set
-	// ids lists the named states in increasing order; rank[w] counts
-	// those below word w of named, so a state's index in ids is
-	// rank[w] plus the named states below it in its own word.
-	ids  []int
-	rank []int
-	// states[k] is ids[k]'s exec-slot net stack effect and lowest depth
-	// so far, its terminator count and whether the last was a SlotJumpF.
-	states []struct {
-		net, low, terms int
-		jumpF           bool
-	}
-}
+// terminatorCheck adds to simd.Validate's rules one that compiled code
+// keeps and the VM does not need: every PE state a slot guard names
+// has exactly one terminator slot. The sets are reused across one
+// program's meta states.
+type terminatorCheck struct{ named, termed, found bitset.Set }
 
-func (c *balanceCheck) check(m *simd.MetaCode) error {
+func (c *terminatorCheck) check(m *simd.MetaCode) error {
 	c.named.Reset()
+	c.termed.Reset()
 	for j := range m.Slots {
-		if m.Slots[j].Guard == nil {
-			return corrupt("program: meta %d slot %d has no guard", m.ID, j)
+		g := m.Slots[j].Guard
+		c.named.UnionWith(g)
+		if m.Slots[j].Kind == simd.SlotExec {
+			continue
 		}
-		c.named.UnionWith(m.Slots[j].Guard)
+		if c.termed.Intersects(g) {
+			c.found.IntersectOf(&c.termed, g)
+			return corrupt("program: meta %d state %d has a second terminator slot", m.ID, c.found.Min())
+		}
+		c.termed.UnionWith(g)
 	}
-	words := c.named.Words()
-	c.ids, c.rank = c.ids[:0], c.rank[:0]
-	for w, x := range words {
-		c.rank = append(c.rank, len(c.ids))
-		for ; x != 0; x &= x - 1 {
-			c.ids = append(c.ids, w*64+bits.TrailingZeros64(x))
-		}
-	}
-	c.states = slices.Grow(c.states[:0], len(c.ids))[:len(c.ids)]
-	clear(c.states)
-	for j := range m.Slots {
-		sl := &m.Slots[j]
-		net, low := 0, 0
-		if sl.Kind == simd.SlotExec {
-			net, low = ir.StackBalance([]ir.Instr{sl.Instr})
-		}
-		sl.Guard.ForEach(func(id int) {
-			w := id / 64
-			st := &c.states[c.rank[w]+bits.OnesCount64(words[w]&(1<<(uint(id)%64)-1))]
-			if sl.Kind != simd.SlotExec {
-				st.terms++
-				st.jumpF = sl.Kind == simd.SlotJumpF
-				return
-			}
-			st.low = min(st.low, st.net+low)
-			st.net += net
-		})
-	}
-	for k, st := range c.states {
-		want := 0
-		if st.jumpF {
-			want = 1
-		}
-		switch {
-		case st.terms != 1:
-			return corrupt("program: meta %d state %d has %d terminator slots, want 1", m.ID, c.ids[k], st.terms)
-		case st.low < 0 || st.net != want:
-			return corrupt("program: meta %d state %d is unbalanced: net stack effect %d (want %d), lowest depth %d",
-				m.ID, c.ids[k], st.net, want, st.low)
-		}
+	if !c.named.Equal(&c.termed) {
+		c.found.MinusOf(&c.named, &c.termed)
+		return corrupt("program: meta %d state %d has no terminator slot", m.ID, c.found.Min())
 	}
 	return nil
 }

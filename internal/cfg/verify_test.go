@@ -46,10 +46,11 @@ func TestVerifyAllCatchesCorruption(t *testing.T) {
 			g.Blocks[1].Code = []ir.Instr{{Op: ir.LdLocal, Imm: 99}, {Op: ir.Pop, Imm: 1}}
 		}, "outside"},
 		{"negative-pop", func(g *Graph) {
-			// Balanced overall so the structural check (not the stack
-			// balance check) is what trips.
+			// Balanced overall (a negative count pops nothing) so the
+			// structural check, not the stack balance check, is what
+			// trips.
 			g.Blocks[1].Code = []ir.Instr{
-				{Op: ir.PushC, Imm: 1, Ty: ir.Int}, {Op: ir.Pop, Imm: -1}, {Op: ir.Pop, Imm: 2}}
+				{Op: ir.PushC, Imm: 1, Ty: ir.Int}, {Op: ir.Pop, Imm: -1}, {Op: ir.Pop, Imm: 1}}
 		}, "negative count"},
 		{"void-constant", func(g *Graph) {
 			g.Blocks[1].Code = []ir.Instr{{Op: ir.PushC, Imm: 0, Ty: ir.Void}, {Op: ir.Pop, Imm: 1}}

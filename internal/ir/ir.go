@@ -230,31 +230,38 @@ func (o Op) IsFloat() bool {
 	return false
 }
 
-// StackDelta returns the net change in evaluation-stack depth, so that
-// block-level stack balance can be verified.
-func (o Op) StackDelta(imm int64) int {
+// StackEffect returns how many values the op pops and then pushes,
+// exactly as both SIMD VMs apply it: a binary op pops two and pushes
+// one, LdIndex pops the index and pushes the value, and Pop k pops k
+// values, none for a negative count. Counts past the int32 range are
+// clamped there: they underflow any stack a program can build.
+func (o Op) StackEffect(imm int64) (pop, push int) {
 	switch o {
-	case PushC, Dup, LdLocal, LdMono, IProc, NProc:
-		return +1
+	case PushC, LdLocal, LdMono, IProc, NProc:
+		return 0, 1
+	case Dup:
+		return 1, 2
 	case Pop:
-		return -int(imm)
-	case StLocal, StMono, StIndex, StRemote:
-		if o == StIndex || o == StRemote {
-			return -2
-		}
-		return -1
-	case LdIndex, LdRemote:
-		return 0 // pop index/pe, push value
+		return int(min(max(imm, 0), math.MaxInt32)), 0
+	case StLocal, StMono:
+		return 1, 0
+	case StIndex, StRemote:
+		return 2, 0
+	case LdIndex, LdRemote, Neg, BitNot, LNot, FNeg, I2F, F2I:
+		return 1, 1
 	case Add, Sub, Mul, Div, Mod, BitAnd, BitOr, BitXor, Shl, Shr,
 		CmpLt, CmpLe, CmpGt, CmpGe, CmpEq, CmpNe,
 		FAdd, FSub, FMul, FDiv, FCmpLt, FCmpLe, FCmpGt, FCmpGe, FCmpEq, FCmpNe:
-		return -1
-	case Neg, BitNot, LNot, FNeg, I2F, F2I:
-		return 0
-	case PushRet, Nop:
-		return 0
+		return 2, 1
 	}
-	return 0
+	return 0, 0 // PushRet, Nop, unknown opcodes
+}
+
+// StackDelta returns the net change in evaluation-stack depth, so that
+// block-level stack balance can be verified.
+func (o Op) StackDelta(imm int64) int {
+	pop, push := o.StackEffect(imm)
+	return push - pop
 }
 
 // Instr is one stack instruction. Sym carries the source-level name of
@@ -311,58 +318,18 @@ func CodeCost(code []Instr) int {
 }
 
 // StackBalance returns the net stack delta of a code sequence and the
-// minimum depth reached relative to entry (≤0 means pops below entry
-// depth, which is legal only when the block is entered with values on
-// the stack — our lowering never does that, so cfg verification rejects
+// minimum depth reached relative to entry, applying each instruction's
+// StackEffect pops before its pushes (≤0 means pops below entry depth,
+// which is legal only when the block is entered with values on the
+// stack — our lowering never does that, so cfg verification rejects
 // negative minimums).
 func StackBalance(code []Instr) (net, minDepth int) {
 	d := 0
 	for _, in := range code {
-		// Account for pops before pushes within one op where it matters.
-		switch in.Op {
-		case StIndex, StRemote:
-			d -= 2
-		case StLocal, StMono:
-			d--
-		case LdIndex, LdRemote:
-			d-- // index popped first...
-			if d < minDepth {
-				minDepth = d
-			}
-			d++ // ...then value pushed
-			continue
-		case Pop:
-			d -= int(in.Imm)
-		case Add, Sub, Mul, Div, Mod, BitAnd, BitOr, BitXor, Shl, Shr,
-			CmpLt, CmpLe, CmpGt, CmpGe, CmpEq, CmpNe,
-			FAdd, FSub, FMul, FDiv, FCmpLt, FCmpLe, FCmpGt, FCmpGe, FCmpEq, FCmpNe:
-			d -= 2
-			if d < minDepth {
-				minDepth = d
-			}
-			d++
-			continue
-		case Neg, BitNot, LNot, FNeg, I2F, F2I:
-			d--
-			if d < minDepth {
-				minDepth = d
-			}
-			d++
-			continue
-		case Dup:
-			d--
-			if d < minDepth {
-				minDepth = d
-			}
-			d += 2
-			continue
-		case PushC, LdLocal, LdMono, IProc, NProc:
-			d++
-		case PushRet, Nop:
-		}
-		if d < minDepth {
-			minDepth = d
-		}
+		pop, push := in.Op.StackEffect(in.Imm)
+		d -= pop
+		minDepth = min(minDepth, d)
+		d += push
 	}
 	return d, minDepth
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,6 +113,14 @@ func TestStackBalance(t *testing.T) {
 		{"unary needs operand", []Instr{
 			{Op: LdLocal}, {Op: Neg}, {Op: StLocal},
 		}, 0, false, 0},
+		// Both SIMD VMs pop nothing for a negative count, so the second
+		// store underflows; counting Pop -1 as a push would hide it.
+		{"negative pop pops nothing", []Instr{
+			{Op: PushC, Imm: 5}, {Op: Pop, Imm: -1}, {Op: StLocal}, {Op: StLocal},
+		}, -1, true, -1},
+		{"pop beyond int32", []Instr{
+			{Op: PushC, Imm: 5}, {Op: Pop, Imm: 1 << 32},
+		}, 1 - math.MaxInt32, true, 1 - math.MaxInt32},
 	}
 	for _, c := range cases {
 		net, min := StackBalance(c.code)
@@ -123,6 +132,9 @@ func TestStackBalance(t *testing.T) {
 		}
 		if !c.minNeg && min < 0 {
 			t.Errorf("%s: min = %d, want non-negative", c.name, min)
+		}
+		if c.minNeg && c.wantMin != 0 && min != c.wantMin {
+			t.Errorf("%s: min = %d, want %d", c.name, min, c.wantMin)
 		}
 	}
 }

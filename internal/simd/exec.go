@@ -1,8 +1,10 @@
 package simd
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"msc/internal/bitset"
 	"msc/internal/ir"
@@ -65,28 +67,27 @@ func crossChunk(s *Slot) bool {
 // pass, while the chunk's pcs are still in cache: no later slot can
 // write them, and the body saves a pass over every chunk.
 func (m *vm) execRun(mc *MetaCode, i, j int) error {
-	members := m.gm[mc.ID]
+	refs := m.lay.refs(mc.ID)
 	final := j == len(mc.Slots)
 	enabled := false
 	for si := i; si < j; si++ {
-		m.ens[si] = m.census(members[si])
+		m.ens[si] = m.census(m.lay.members(refs[si]))
 		enabled = enabled || m.ens[si] > 0
 	}
 	last, err := j-1, error(nil)
 	switch s := &mc.Slots[i]; {
 	case crossChunk(s):
 		if enabled {
-			err = m.execCross(s, m.enable(members[i], 0, m.nw))
+			err = m.execCross(s, refs[i])
 		}
 	case enabled || final:
 		var slot int
 		slot, err = m.forChunks(func(ws *wscratch, c int) error {
-			w0, w1 := m.chunkWords(c)
 			for si := i; si < j; si++ {
 				if m.ens[si] == 0 {
 					continue
 				}
-				if err := m.execLocal(&mc.Slots[si], m.enable(members[si], w0, w1), c); err != nil {
+				if err := m.execLocal(&mc.Slots[si], refs[si], c); err != nil {
 					m.chunks[c].slot = si
 					return err
 				}
@@ -132,7 +133,7 @@ func (m *vm) charge(mc *MetaCode, si int) {
 // census returns how many PEs a guard enables: the sum of its members'
 // occupancy counts. Every live PE occupies exactly one MIMD state, so
 // the members' masks are disjoint and no popcount is needed.
-func (m *vm) census(members []int) int64 {
+func (m *vm) census(members []int32) int64 {
 	en := int64(0)
 	for _, s := range members {
 		en += m.occCnt[s]
@@ -140,12 +141,14 @@ func (m *vm) census(members []int) int64 {
 	return en
 }
 
-// enable returns a guard's enable mask, valid over mask words [w0, w1):
-// the occupancy mask of its one occupied member itself, or the OR of
-// several written into m.enab. Chunks own disjoint words and run their
-// slots in order, so one scratch mask serves every chunk and slot of a
-// pass. Slots never mutate occupancy; only commit does.
-func (m *vm) enable(members []int, w0, w1 int) bitset.Mask {
+// enable returns the enable mask of a guard's members (or of one depth
+// group of them), valid over mask words [w0, w1): nil when no member is
+// occupied, the occupancy mask of its one occupied member itself, or
+// the OR of several written into m.enab. Chunks own disjoint words and
+// run their slots and groups in order, so m.enab serves every chunk,
+// slot and group of a pass. Slots never mutate occupancy; only
+// commit does.
+func (m *vm) enable(members []int32, w0, w1 int) bitset.Mask {
 	var e bitset.Mask
 	occupied := 0
 	for _, s := range members {
@@ -166,16 +169,49 @@ func (m *vm) enable(members []int, w0, w1 int) bitset.Mask {
 	return e
 }
 
-// execLocal runs one chunk-local slot on chunk c's PEs enabled in e.
-// Chunks are word-aligned, so dirty and npc words are never shared.
-func (m *vm) execLocal(s *Slot, e bitset.Mask, c int) error {
-	if s.Kind == SlotExec {
-		return m.execInstr(s.Instr, e, c)
-	}
-	ch := &m.chunks[c]
+// execLocal runs one chunk-local slot on chunk c's enabled PEs. Chunks
+// are word-aligned, so dirty and npc words are never shared. A slot
+// that reads the evaluation stack runs once per depth group of its
+// guard, each group at its own fixed rows.
+func (m *vm) execLocal(s *Slot, r slotRef, c int) error {
 	w0, w1 := m.chunkWords(c)
+	switch s.Kind {
+	case SlotExec:
+		return m.execGroups(s.Instr, r, c)
+	case SlotJumpF:
+		ch := &m.chunks[c]
+		to, fto, npcs := int32(s.To), int32(s.FTo), m.npcs
+		for _, g := range m.lay.groups(r) {
+			e := m.enable(m.lay.mem[g.lo:g.hi], w0, w1)
+			if e == nil {
+				continue
+			}
+			cond := ch.row(int(g.d) - 1)
+			for w := w0; w < w1; w++ {
+				ew := e[w]
+				if ew == 0 {
+					continue
+				}
+				m.dirty[w] |= ew
+				base := w << 6
+				for ew != 0 {
+					b := bits.TrailingZeros64(ew)
+					ew &= ew - 1
+					pe := base + b
+					if ir.Truth(cond[pe-ch.p0]) {
+						npcs[pe] = to
+					} else {
+						npcs[pe] = fto
+					}
+				}
+			}
+		}
+		return nil
+	}
+	e := m.enable(m.lay.members(r), w0, w1)
+	ch := &m.chunks[c]
 	p0, wd := ch.p0, ch.wd
-	slens, rlens, npcs := m.slens, m.rlens, m.npcs
+	rlens, npcs := m.rlens, m.npcs
 	switch s.Kind {
 	case SlotSetPC, SlotEnd, SlotHalt:
 		to, halt := int32(s.To), s.Kind == SlotHalt
@@ -198,32 +234,7 @@ func (m *vm) execLocal(s *Slot, e bitset.Mask, c int) error {
 				pe := base + b
 				npcs[pe] = to
 				if halt {
-					slens[pe], rlens[pe] = 0, 0
-				}
-			}
-		}
-	case SlotJumpF:
-		to, fto, stk := int32(s.To), int32(s.FTo), ch.stk
-		for w := w0; w < w1; w++ {
-			ew := e[w]
-			if ew == 0 {
-				continue
-			}
-			m.dirty[w] |= ew
-			base := w << 6
-			for ew != 0 {
-				b := bits.TrailingZeros64(ew)
-				ew &= ew - 1
-				pe := base + b
-				l := slens[pe] - 1
-				if l < 0 {
-					return underflow(pe)
-				}
-				slens[pe] = l
-				if ir.Truth(stk[int(l)*wd+pe-p0]) {
-					npcs[pe] = to
-				} else {
-					npcs[pe] = fto
+					rlens[pe] = 0
 				}
 			}
 		}
@@ -266,14 +277,14 @@ func (ch *chunk) pushRetDeep(i int, l, r int32) {
 	ch.retDeep[i] = append(ch.retDeep[i][:l-retRows], r)
 }
 
-// execCross executes a cross-chunk slot over its enable mask e. Spawn
-// claims free PEs in ascending order across the whole machine, so the
-// coordinator runs it alone. The others pop chunk-parallel and buffer
-// their cross-chunk effects per chunk, replayed in chunk order, so the
-// outcome matches sequential ascending-PE execution exactly.
-func (m *vm) execCross(s *Slot, e bitset.Mask) error {
+// execCross executes a cross-chunk slot. Spawn claims free PEs in
+// ascending order across the whole machine, so the coordinator runs it
+// alone. The others keep the order sequential ascending-PE execution
+// gives their cross-chunk effects: the highest enabled PE wins a
+// StMono, and StRemote writes replay in ascending PE order.
+func (m *vm) execCross(s *Slot, r slotRef) error {
 	if s.Kind == SlotSpawn {
-		return m.spawn(s, e)
+		return m.spawn(s, m.enable(m.lay.members(r), 0, m.nw))
 	}
 	a, err := m.slotAddr(s.Instr.Imm)
 	if err != nil {
@@ -281,11 +292,11 @@ func (m *vm) execCross(s *Slot, e bitset.Mask) error {
 	}
 	switch s.Instr.Op {
 	case ir.StMono:
-		return m.stMono(a, e)
+		return m.stMono(a, r)
 	case ir.StRemote:
-		return m.stRemote(a, e)
+		return m.stRemote(a, r)
 	}
-	return m.ldRemote(a, e)
+	return m.ldRemote(a, r)
 }
 
 // spawn sets each enabled parent's next pc to s.To and claims one free
@@ -356,8 +367,13 @@ func (m *vm) commit() {
 	}
 }
 
+// commitChunk moves chunk c's dirty PEs from their old pc to their new
+// one, ascending. Consecutive dirty PEs of a word that share an (old,
+// new) pair form a run, moved with one mask operation per side and one
+// count update by popcount.
 func (m *vm) commitChunk(ws *wscratch, c int) error {
 	w0, w1 := m.chunkWords(c)
+	pcs, npcs := m.pcs, m.npcs
 	for w := w0; w < w1; w++ {
 		dw := m.dirty[w]
 		if dw == 0 {
@@ -366,50 +382,50 @@ func (m *vm) commitChunk(ws *wscratch, c int) error {
 		m.dirty[w] = 0
 		base := w << 6
 		for dw != 0 {
-			b := bits.TrailingZeros64(dw)
+			pe := base + bits.TrailingZeros64(dw)
+			old, nv := pcs[pe], npcs[pe]
+			run := dw & -dw
 			dw &= dw - 1
-			pe := base + b
-			old, nv := int(m.pcs[pe]), int(m.npcs[pe])
+			pcs[pe] = nv
+			for dw != 0 {
+				q := base + bits.TrailingZeros64(dw)
+				if pcs[q] != old || npcs[q] != nv {
+					break
+				}
+				run |= dw & -dw
+				dw &= dw - 1
+				pcs[q] = nv
+			}
 			if old == nv {
 				continue
 			}
-			bit := uint64(1) << uint(b)
+			k := int64(bits.OnesCount64(run))
 			switch {
 			case old >= 0:
-				m.occ[old][w] &^= bit
-				ws.cntDelta[old]--
+				m.occ[old][w] &^= run
+				ws.cntDelta[old] -= k
 				ws.cntTouched = true
-				ws.liveDelta--
+				ws.liveDelta -= k
 			case old == PCIdle:
-				m.idle[w] &^= bit
+				m.idle[w] &^= run
 			}
 			switch {
 			case nv >= 0:
-				m.occ[nv][w] |= bit
-				ws.cntDelta[nv]++
+				m.occ[nv][w] |= run
+				ws.cntDelta[nv] += k
 				ws.cntTouched = true
-				ws.liveDelta++
+				ws.liveDelta += k
 			case nv == PCIdle:
-				m.idle[w] |= bit
+				m.idle[w] |= run
 				if w < ws.minIdleW {
 					ws.minIdleW = w
 				}
 			default: // PCDone
-				m.doneM[w] |= bit
+				m.doneM[w] |= run
 			}
-			m.pcs[pe] = int32(nv)
 		}
 	}
 	return nil
-}
-
-// grow doubles a chunk's evaluation-stack slab. Rows are depth-major,
-// so the old slab is the new one's prefix and every entry keeps its
-// index.
-func grow(s []ir.Word) []ir.Word {
-	ns := make([]ir.Word, 2*len(s))
-	copy(ns, s)
-	return ns
 }
 
 func (m *vm) slotAddr(addr int64) (int, error) {
@@ -419,54 +435,88 @@ func (m *vm) slotAddr(addr int64) (int, error) {
 	return int(addr), nil
 }
 
-func underflow(pe int) error {
-	return fmt.Errorf("PE %d evaluation stack underflow", pe)
+// peError is a failure at one PE of a slot. A slot whose members reach
+// it at several depths runs once per depth group, so the failure
+// sequential ascending-PE execution reaches first is the one at the
+// lowest PE of any group (execGroups).
+type peError struct {
+	pe  int
+	err error
 }
 
+func (e *peError) Error() string { return e.err.Error() }
+func (e *peError) Unwrap() error { return e.err }
+
+// execGroups runs an exec slot on chunk c, once per depth group of its
+// guard, and returns the failure at the lowest PE. A static error (an
+// address out of range, an unknown opcode) comes before any PE runs,
+// alike in every group.
+func (m *vm) execGroups(in ir.Instr, r slotRef, c int) error {
+	w0, w1 := m.chunkWords(c)
+	var first *peError
+	for _, g := range m.lay.groups(r) {
+		e := m.enable(m.lay.mem[g.lo:g.hi], w0, w1)
+		if e == nil {
+			continue
+		}
+		err := m.execInstr(in, int(g.d), e, c)
+		if err == nil {
+			continue
+		}
+		pe, ok := err.(*peError)
+		if !ok {
+			return err
+		}
+		if first == nil || pe.pe < first.pe {
+			first = pe
+		}
+	}
+	if first != nil {
+		return first
+	}
+	return nil
+}
+
+// row returns row d of the chunk's evaluation stacks: depth d of every
+// PE of the chunk, PE pe at index pe-p0.
+func (ch *chunk) row(d int) []ir.Word { return ch.stk[d*ch.wd:][:ch.wd] }
+
 // execInstr runs one chunk-local instruction on chunk c's PEs enabled
-// in e, ascending. PE pe's stack entry at depth d is
-// stk[d*wd+pe-p0]: one row per depth, so PEs at a common depth touch
-// consecutive words.
+// in e, ascending, every one of which reaches it at stack depth d (see
+// layout): a push writes row d, a pop reads row d-1 and a binary op
+// combines rows d-2 and d-1 in place. Run validated the program before
+// it allocated, so every row a slot addresses exists and no PE's depth
+// is loaded, tested or stored.
 //
-// Every case carries its own bit loop with the stack manipulation
-// fused: a binary op is one depth load, an in-place store over the
-// second operand, and one depth store — no push/pop calls. This is the
-// hottest code in the repo; measure before restructuring. Underflow
-// checks collapse to one front check per PE, which reports the same
-// error sequential pop-by-pop execution would. A static error (an
-// address out of range, an unknown opcode) is returned before any PE
-// runs, by every chunk alike, so execRun reports it at its slot just as
+// Every case carries its own bit loop. This is the hottest code in
+// the repo; measure before restructuring. A static error (an address
+// out of range, an unknown opcode) is returned before any PE runs, by
+// every chunk alike, so execRun reports it at its slot just as
 // slot-by-slot execution does.
-func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
+func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 	ch := &m.chunks[c]
 	w0, w1 := m.chunkWords(c)
-	p0, wd, stk := ch.p0, ch.wd, ch.stk
-	slens, mem, wpp := m.slens, m.mem, m.wpp
+	p0 := ch.p0
+	mem, wpp := m.mem, m.wpp
 	switch in.Op {
-	case ir.Nop:
+	case ir.Nop, ir.Pop:
 	case ir.PushC, ir.NProc:
 		v := ir.Word(in.Imm)
 		if in.Op == ir.NProc {
 			v = ir.Word(m.n)
 		}
+		dst := ch.row(d)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
-			base := w << 6
+			base := w<<6 - p0
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
-				pe := base + b
-				l := slens[pe]
-				i := int(l)*wd + pe - p0
-				if i >= len(stk) {
-					stk = grow(stk)
-					ch.stk = stk
-				}
-				stk[i] = v
-				slens[pe] = l + 1
+				dst[base+b] = v
 			}
 		}
 	case ir.IProc:
+		dst := ch.row(d)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -474,54 +524,18 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
 				pe := base + b
-				l := slens[pe]
-				i := int(l)*wd + pe - p0
-				if i >= len(stk) {
-					stk = grow(stk)
-					ch.stk = stk
-				}
-				stk[i] = ir.Word(pe)
-				slens[pe] = l + 1
+				dst[pe-p0] = ir.Word(pe)
 			}
 		}
 	case ir.Dup:
+		src, dst := ch.row(d-1), ch.row(d)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
-			base := w << 6
+			base := w<<6 - p0
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
-				pe := base + b
-				l := slens[pe]
-				if l == 0 {
-					return underflow(pe)
-				}
-				i := int(l)*wd + pe - p0
-				if i >= len(stk) {
-					stk = grow(stk)
-					ch.stk = stk
-				}
-				stk[i] = stk[i-wd]
-				slens[pe] = l + 1
-			}
-		}
-	case ir.Pop:
-		// Like the reference, which pops Imm times: none for a
-		// negative count, and an underflow for any count past the
-		// depth, however large.
-		k := max(in.Imm, 0)
-		for w := w0; w < w1; w++ {
-			ew := e[w]
-			base := w << 6
-			for ew != 0 {
-				b := bits.TrailingZeros64(ew)
-				ew &= ew - 1
-				pe := base + b
-				l := slens[pe]
-				if int64(l) < k {
-					return underflow(pe)
-				}
-				slens[pe] = l - int32(k)
+				dst[base+b] = src[base+b]
 			}
 		}
 	case ir.LdLocal, ir.LdMono:
@@ -529,6 +543,7 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 		if err != nil {
 			return err
 		}
+		dst := ch.row(d)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -536,14 +551,7 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
 				pe := base + b
-				l := slens[pe]
-				i := int(l)*wd + pe - p0
-				if i >= len(stk) {
-					stk = grow(stk)
-					ch.stk = stk
-				}
-				stk[i] = mem[pe*wpp+a]
-				slens[pe] = l + 1
+				dst[pe-p0] = mem[pe*wpp+a]
 			}
 		}
 	case ir.StLocal:
@@ -551,6 +559,7 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 		if err != nil {
 			return err
 		}
+		src := ch.row(d - 1)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -558,15 +567,11 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
 				pe := base + b
-				l := slens[pe] - 1
-				if l < 0 {
-					return underflow(pe)
-				}
-				mem[pe*wpp+a] = stk[int(l)*wd+pe-p0]
-				slens[pe] = l
+				mem[pe*wpp+a] = src[pe-p0]
 			}
 		}
 	case ir.LdIndex:
+		x := ch.row(d - 1) // in place: pop idx, push val
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -574,19 +579,15 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
 				pe := base + b
-				l := slens[pe]
-				if l == 0 {
-					return underflow(pe)
-				}
-				i := int(l-1)*wd + pe - p0
-				a, err := m.slotAddr(in.Imm + int64(stk[i]))
+				a, err := m.slotAddr(in.Imm + int64(x[pe-p0]))
 				if err != nil {
-					return err
+					return &peError{pe, err}
 				}
-				stk[i] = mem[pe*wpp+a] // in place: pop idx, push val
+				x[pe-p0] = mem[pe*wpp+a]
 			}
 		}
 	case ir.StIndex:
+		idx, val := ch.row(d-2), ch.row(d-1)
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -594,21 +595,15 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
 				pe := base + b
-				l := slens[pe]
-				if l < 2 {
-					return underflow(pe)
-				}
-				i := int(l-1)*wd + pe - p0
-				a, err := m.slotAddr(in.Imm + int64(stk[i-wd]))
+				a, err := m.slotAddr(in.Imm + int64(idx[pe-p0]))
 				if err != nil {
-					return err
+					return &peError{pe, err}
 				}
-				mem[pe*wpp+a] = stk[i]
-				slens[pe] = l - 2
+				mem[pe*wpp+a] = val[pe-p0]
 			}
 		}
 	case ir.PushRet:
-		r, ret, rlens := int32(in.Imm), ch.ret, m.rlens
+		r, ret, rlens, wd := int32(in.Imm), ch.ret, m.rlens, ch.wd
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
@@ -629,36 +624,27 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 		op := in.Op
 		switch {
 		case ir.IsBinary(op):
+			x, y := ch.row(d-2), ch.row(d-1)
 			for w := w0; w < w1; w++ {
 				ew := e[w]
-				base := w << 6
+				base := w<<6 - p0
 				for ew != 0 {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1
-					pe := base + b
-					l := slens[pe]
-					if l < 2 {
-						return underflow(pe)
-					}
-					i := int(l-1)*wd + pe - p0
-					stk[i-wd] = ir.EvalBinary(op, stk[i-wd], stk[i])
-					slens[pe] = l - 1
+					i := base + b
+					x[i] = ir.EvalBinary(op, x[i], y[i])
 				}
 			}
 		case ir.IsUnary(op):
+			x := ch.row(d - 1)
 			for w := w0; w < w1; w++ {
 				ew := e[w]
-				base := w << 6
+				base := w<<6 - p0
 				for ew != 0 {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1
-					pe := base + b
-					l := slens[pe]
-					if l == 0 {
-						return underflow(pe)
-					}
-					i := int(l-1)*wd + pe - p0
-					stk[i] = ir.EvalUnary(op, stk[i])
+					i := base + b
+					x[i] = ir.EvalUnary(op, x[i])
 				}
 			}
 		default:
@@ -668,43 +654,25 @@ func (m *vm) execInstr(in ir.Instr, e bitset.Mask, c int) error {
 	return nil
 }
 
-// stMono pops on every enabled PE (chunk-parallel, recording each
-// chunk's last popped value), reduces chunk-ascending so the highest
-// enabled PE's value wins exactly as in sequential execution, then
-// broadcasts it to every PE's memory row chunk-parallel.
-func (m *vm) stMono(a int, e bitset.Mask) error {
-	_, err := m.forChunks(func(_ *wscratch, c int) error {
-		ch := &m.chunks[c]
-		w0, w1 := m.chunkWords(c)
-		for w := w0; w < w1; w++ {
-			ew := e[w]
-			base := w << 6
-			for ew != 0 {
-				b := bits.TrailingZeros64(ew)
-				ew &= ew - 1
-				pe := base + b
-				l := m.slens[pe] - 1
-				if l < 0 {
-					return underflow(pe)
-				}
-				ch.monoVal = ch.stk[int(l)*ch.wd+pe-ch.p0]
-				ch.monoAny = true
-				m.slens[pe] = l
+// stMono broadcasts the value the highest enabled PE pops, as
+// sequential ascending-PE execution leaves it, to every PE's memory
+// row chunk-parallel. A pop does no per-PE work, so only that PE's
+// stack is read: the highest occupied PE of any member, at its group's
+// depth.
+func (m *vm) stMono(a int, r slotRef) error {
+	top, val := -1, ir.Word(0)
+	for _, g := range m.lay.groups(r) {
+		for _, s := range m.lay.mem[g.lo:g.hi] {
+			if m.occCnt[s] == 0 {
+				continue
+			}
+			if pe := lastSet(m.occ[s]); pe > top {
+				ch := &m.chunks[pe/chunkPEs]
+				top, val = pe, ch.row(int(g.d) - 1)[pe-ch.p0]
 			}
 		}
-		return nil
-	})
-	var val ir.Word
-	for c := range m.chunks {
-		if ch := &m.chunks[c]; ch.monoAny {
-			val = ch.monoVal // highest chunk with an enabled PE wins
-			ch.monoAny = false
-		}
 	}
-	if err != nil {
-		return err
-	}
-	_, err = m.forChunks(func(_ *wscratch, c int) error {
+	_, err := m.forChunks(func(_ *wscratch, c int) error {
 		ch := &m.chunks[c]
 		for pe := ch.p0; pe < ch.p0+ch.wd; pe++ {
 			m.mem[pe*m.wpp+a] = val
@@ -714,32 +682,49 @@ func (m *vm) stMono(a int, e bitset.Mask) error {
 	return err
 }
 
-// stRemote pops (value, target) on every enabled PE chunk-parallel,
+// lastSet returns the index of the highest set bit, or -1.
+func lastSet(m bitset.Mask) int {
+	for w := len(m) - 1; w >= 0; w-- {
+		if x := m[w]; x != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// stRemote pops (target, value) on every enabled PE chunk-parallel,
 // buffering the router writes per chunk, then replays them in chunk
 // order on the coordinator — ascending-PE write order, so conflicting
-// stores resolve exactly as in sequential execution.
-func (m *vm) stRemote(a int, e bitset.Mask) error {
+// stores resolve exactly as in sequential execution. A chunk buffers
+// one depth group after another, so a slot with several groups sorts
+// its buffer by PE.
+func (m *vm) stRemote(a int, r slotRef) error {
+	groups := m.lay.groups(r)
 	_, err := m.forChunks(func(_ *wscratch, c int) error {
 		ch := &m.chunks[c]
-		buf := ch.rem[:0]
-		defer func() { ch.rem = buf }()
 		w0, w1 := m.chunkWords(c)
-		for w := w0; w < w1; w++ {
-			ew := e[w]
-			base := w << 6
-			for ew != 0 {
-				b := bits.TrailingZeros64(ew)
-				ew &= ew - 1
-				pe := base + b
-				l := m.slens[pe]
-				if l < 2 {
-					return underflow(pe)
+		buf := ch.rem[:0]
+		for _, g := range groups {
+			e := m.enable(m.lay.mem[g.lo:g.hi], w0, w1)
+			if e == nil {
+				continue
+			}
+			tgt, val := ch.row(int(g.d)-2), ch.row(int(g.d)-1)
+			for w := w0; w < w1; w++ {
+				ew := e[w]
+				base := w << 6
+				for ew != 0 {
+					b := bits.TrailingZeros64(ew)
+					ew &= ew - 1
+					pe := base + b
+					buf = append(buf, remWrite{pe: pe, idx: peIndex(tgt[pe-ch.p0], m.n)*m.wpp + a, val: val[pe-ch.p0]})
 				}
-				i := int(l-1)*ch.wd + pe - ch.p0
-				m.slens[pe] = l - 2
-				buf = append(buf, remWrite{idx: peIndex(ch.stk[i-ch.wd], m.n)*m.wpp + a, val: ch.stk[i]})
 			}
 		}
+		if len(groups) > 1 {
+			slices.SortFunc(buf, func(x, y remWrite) int { return cmp.Compare(x.pe, y.pe) })
+		}
+		ch.rem = buf
 		return nil
 	})
 	if err != nil {
@@ -758,24 +743,28 @@ func (m *vm) stRemote(a int, e bitset.Mask) error {
 // ldRemote replaces each enabled PE's stack top, a PE number, with that
 // PE's word a. Router reads are simultaneous, and no PE's memory
 // changes during this slot, so replacing the target with the fetched
-// value in place is equivalent to the reference's gather-then-push.
-func (m *vm) ldRemote(a int, e bitset.Mask) error {
+// value in place, one depth group after another, is equivalent to the
+// reference's gather-then-push.
+func (m *vm) ldRemote(a int, r slotRef) error {
+	groups := m.lay.groups(r)
 	_, err := m.forChunks(func(_ *wscratch, c int) error {
 		ch := &m.chunks[c]
 		w0, w1 := m.chunkWords(c)
-		for w := w0; w < w1; w++ {
-			ew := e[w]
-			base := w << 6
-			for ew != 0 {
-				b := bits.TrailingZeros64(ew)
-				ew &= ew - 1
-				pe := base + b
-				l := m.slens[pe]
-				if l == 0 {
-					return underflow(pe)
+		for _, g := range groups {
+			e := m.enable(m.lay.mem[g.lo:g.hi], w0, w1)
+			if e == nil {
+				continue
+			}
+			x := ch.row(int(g.d) - 1)
+			for w := w0; w < w1; w++ {
+				ew := e[w]
+				base := w << 6
+				for ew != 0 {
+					b := bits.TrailingZeros64(ew)
+					ew &= ew - 1
+					pe := base + b
+					x[pe-ch.p0] = m.mem[peIndex(x[pe-ch.p0], m.n)*m.wpp+a]
 				}
-				i := int(l-1)*ch.wd + pe - ch.p0
-				ch.stk[i] = m.mem[peIndex(ch.stk[i], m.n)*m.wpp+a]
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -47,21 +48,41 @@ func splitProgram(words, split int, body ...Slot) *Program {
 	}
 }
 
-// TestRunReportsLowestSlotFailure: chunk 1 underflows at slot 1 and
-// chunk 0 at slot 3. Slot-by-slot execution reaches chunk 1's failure
-// first, so that is the error, and the profiler is charged for no slot
-// past it.
+// rejected requires Run to refuse p with a *ProgramError whose text
+// holds want, at every worker count, while ReferenceRun, which checks
+// depths only as it pops, still fails at run time with refWant.
+func rejected(t *testing.T, p *Program, conf Config, want, refWant string) {
+	t.Helper()
+	for _, w := range []int{1, 4, 0} {
+		conf.Workers = w
+		var pe *ProgramError
+		if _, err := Run(p, conf); !errors.As(err, &pe) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: Run = %v, want a *ProgramError with %q", w, err, want)
+		}
+	}
+	if _, err := ReferenceRun(p, conf); err == nil || !strings.Contains(err.Error(), refWant) {
+		t.Fatalf("ReferenceRun = %v, want %q", err, refWant)
+	}
+}
+
+// badIndex pushes k on state-g PEs and loads word k through LdIndex,
+// out of range for a program of fewer than k words.
+func badIndex(g *bitset.Set, k int64) []Slot {
+	return []Slot{ex(g, ir.PushC, k), ex(g, ir.LdIndex, 0), ex(g, ir.StLocal, 0)}
+}
+
+// TestRunReportsLowestSlotFailure: chunk 1's PEs load an out-of-range
+// address at slot 1 and chunk 0's at slot 4. Slot-by-slot execution
+// reaches chunk 1's failure first, so that is the error, and the
+// profiler is charged for no slot past it. The same shape built from
+// stack underflows never runs: Run refuses it, and only the reference
+// fails at run time.
 func TestRunReportsLowestSlotFailure(t *testing.T) {
 	defer SetChunkPEsForTest(64)()
-	p := splitProgram(1, 64,
-		ex(g2, ir.PushC, 1),
-		ex(g2, ir.Add, 0), // state-2 PEs hold one word
-		ex(g1, ir.PushC, 1),
-		ex(g1, ir.Pop, 2), // so do state-1 PEs
-	)
+	p := splitProgram(1, 64, append(badIndex(g2, 5), badIndex(g1, 7)...)...)
 	_, err := refCheck(t, p, Config{N: 128})
-	if err == nil || !strings.Contains(err.Error(), "PE 64 evaluation stack underflow") {
-		t.Fatalf("error = %v, want PE 64 underflow", err)
+	if err == nil || !strings.Contains(err.Error(), "memory address 5 out of range") {
+		t.Fatalf("error = %v, want chunk 1's address 5", err)
 	}
 	prof := telemetry.NewProfiler(1)
 	if _, err := Run(p, Config{N: 128, Workers: 4, Profiler: prof}); err == nil {
@@ -72,11 +93,18 @@ func TestRunReportsLowestSlotFailure(t *testing.T) {
 			t.Errorf("profiler charged slot %d, past the failing slot 1", f.Frame.Pos.Line-1)
 		}
 	}
+
+	// State-2 PEs hold one word at an Add, and state-1 PEs one at a
+	// Pop 2.
+	rejected(t, splitProgram(1, 64,
+		ex(g2, ir.PushC, 1), ex(g2, ir.Add, 0), ex(g1, ir.PushC, 1), ex(g1, ir.Pop, 2),
+	), Config{N: 128}, "ms1 slot 1: state 2 is unbalanced: Add at depth 1", "PE 64 evaluation stack underflow")
 }
 
 // TestRunStaticErrorAfterEarlierFailure: an address or opcode error at
 // slot k, which every chunk would hit, is reported only when no chunk
-// failed at an earlier slot — here chunk 1 underflows at slot 0.
+// failed at an earlier slot — here chunks 1 and 2 load an out-of-range
+// address at slot 1.
 func TestRunStaticErrorAfterEarlierFailure(t *testing.T) {
 	defer SetChunkPEsForTest(64)()
 	for _, tc := range []struct {
@@ -84,11 +112,11 @@ func TestRunStaticErrorAfterEarlierFailure(t *testing.T) {
 		body []Slot
 		want string
 	}{
-		{"address after underflow", []Slot{ex(g2, ir.StLocal, 0), ex(g12, ir.LdLocal, 99)},
-			"PE 64 evaluation stack underflow"},
-		{"opcode after underflow", []Slot{ex(g2, ir.StLocal, 0), ex(g1, ir.Op(250), 0)},
-			"PE 64 evaluation stack underflow"},
-		{"address alone", []Slot{ex(g2, ir.PushC, 1), ex(g2, ir.StLocal, 0), ex(g12, ir.LdLocal, 99)},
+		{"address after bad index", append(badIndex(g2, 5), ex(g12, ir.LdLocal, 99), ex(g12, ir.StLocal, 0)),
+			"memory address 5 out of range"},
+		{"opcode after bad index", append(badIndex(g2, 5), ex(g1, ir.Op(250), 0)),
+			"memory address 5 out of range"},
+		{"address alone", []Slot{ex(g2, ir.PushC, 1), ex(g2, ir.StLocal, 0), ex(g12, ir.LdLocal, 99), ex(g12, ir.StLocal, 0)},
 			"memory address 99 out of range"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +124,22 @@ func TestRunStaticErrorAfterEarlierFailure(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want %q", err, tc.want)
 			}
+		})
+	}
+
+	// Chunk 1's PEs pop an empty stack at slot 0: Run refuses the
+	// program, and the reference reports that underflow, not the later
+	// static error.
+	for _, tc := range []struct {
+		name string
+		body []Slot
+	}{
+		{"address after underflow", []Slot{ex(g2, ir.StLocal, 0), ex(g12, ir.LdLocal, 99)}},
+		{"opcode after underflow", []Slot{ex(g2, ir.StLocal, 0), ex(g1, ir.Op(250), 0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rejected(t, splitProgram(1, 64, tc.body...), Config{N: 192},
+				"ms1 slot 0: state 2 is unbalanced: StLocal(0) at depth 0", "PE 64 evaluation stack underflow")
 		})
 	}
 }
@@ -132,11 +176,89 @@ func TestRunCrossChunkSlots(t *testing.T) {
 	}
 }
 
+// TestRunMixedDepthSlots: state-1 PEs keep one extra word under
+// everything the body computes, so every g12 slot below reaches its
+// two members at different depths and runs once per depth group. The
+// split falls inside chunk 1, so chunk 1 runs both groups. Results,
+// error text and profiler frames must match the reference: the
+// highest PE wins the StMono, conflicting StRemote writes resolve in
+// ascending PE order across the groups, and of two out-of-range
+// LdIndex addresses in one chunk the lower PE's is reported.
+func TestRunMixedDepthSlots(t *testing.T) {
+	defer SetChunkPEsForTest(64)()
+	const n, split = 200, 100 // chunks of 64, 64, 64 and 8 PEs
+	mixed := func(p *Program, slots ...int) {
+		t.Helper()
+		lay, err := newLayout(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range slots {
+			if g := lay.groups(lay.refs(1)[k]); len(g) != 2 {
+				t.Fatalf("slot %d (%v) has %d depth groups, want 2", k, p.Meta[1].Slots[k].Instr, len(g))
+			}
+		}
+	}
+
+	p := splitProgram(5, split,
+		ex(g1, ir.PushC, 1000),
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 3), ex(g12, ir.Mul, 0), ex(g12, ir.StLocal, 0), // 1-4
+		ex(g12, ir.IProc, 0), ex(g12, ir.StMono, 1), // 5-6
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 70), ex(g12, ir.Add, 0), // 7-9
+		ex(g12, ir.LdRemote, 0), ex(g12, ir.StLocal, 2), // 10-11
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 32), ex(g12, ir.Div, 0), ex(g12, ir.IProc, 0), // 12-15
+		ex(g12, ir.StRemote, 3),                                        // 16: PE pe writes pe to PE pe/32
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 2), ex(g12, ir.Mod, 0), // 17-19
+		Slot{Kind: SlotJumpF, Guard: g12, To: 1, FTo: 2}, // 20
+		ex(g1, ir.StLocal, 4),
+	)
+	mixed(p, 1, 3, 4, 6, 10, 16, 20)
+	res, err := refCheck(t, p, Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range []int{0, 63, 64, 99, 100, 127, 128, 199} {
+		m := res.Mem[pe]
+		if m[0] != ir.Word(3*pe) || m[1] != n-1 || m[2] != ir.Word(3*((pe+70)%n)) {
+			t.Errorf("PE %d: words %v, want product %d, mono %d, remote read %d", pe, m[:3], 3*pe, n-1, 3*((pe+70)%n))
+		}
+		kept := ir.Word(0)
+		if pe < split {
+			kept = 1000
+		}
+		if m[4] != kept {
+			t.Errorf("PE %d: kept word %d, want %d", pe, m[4], kept)
+		}
+	}
+	// PE 3 is written by state-1 PEs 96-99 and state-2 PEs 100-127, all
+	// in chunk 1: the highest writer wins only if the chunk replays its
+	// two groups' writes in PE order.
+	for tgt := 0; tgt < 7; tgt++ {
+		if got, want := res.Mem[tgt][3], ir.Word(min(32*tgt+31, n-1)); got != want {
+			t.Errorf("PE %d: remote write %d, want %d (the highest writer)", tgt, got, want)
+		}
+	}
+
+	// PEs from 64 on index past the 4 words: in chunk 1, state-2 PEs
+	// (depth 1, run first) fail from PE 100 at address 6 and state-1 PEs
+	// (depth 2) from PE 64 at address 4.
+	p = splitProgram(4, split,
+		ex(g1, ir.PushC, 9),
+		ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 16), ex(g12, ir.Div, 0),
+		ex(g12, ir.LdIndex, 0), ex(g12, ir.StLocal, 0), // 4-5
+		ex(g1, ir.StLocal, 1),
+	)
+	mixed(p, 1, 3, 4, 5)
+	_, err = refCheck(t, p, Config{N: n})
+	if err == nil || err.Error() != "simd: ms1: memory address 4 out of range [0,4)" {
+		t.Fatalf("error = %v, want PE 64's address 4", err)
+	}
+}
+
 // TestRunStacksGrowInSomeChunks: state-2 PEs (chunks 1 and 2) push 12
-// words, past the 8 rows a chunk's evaluation stack starts with, and 6
-// return sites, past its 4 return-stack rows into the PEs' own spills,
-// while state-1 PEs (chunk 0) stay shallow. Growth must keep every
-// entry.
+// words, so every chunk's evaluation stack has 12 rows, and 6 return
+// sites, past its 4 return-stack rows into the PEs' own spills, while
+// state-1 PEs (chunk 0) stay shallow. Every entry must be kept.
 func TestRunStacksGrowInSomeChunks(t *testing.T) {
 	defer SetChunkPEsForTest(64)()
 	var body []Slot

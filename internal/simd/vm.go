@@ -282,9 +282,8 @@ type vm struct {
 	pcs  []int32   // committed pc per PE
 	npcs []int32   // next pc per PE; equals pcs outside a body
 
-	// Evaluation and return stack depths per PE; the stack words live
-	// in the PE's chunk (see chunk).
-	slens []int32
+	// Return-stack depth per PE; the entries live in the PE's chunk
+	// (see chunk). Evaluation-stack depths are static (see layout).
 	rlens []int32
 
 	occ    []bitset.Mask // per MIMD state: which PEs' committed pc is there
@@ -297,8 +296,8 @@ type vm struct {
 
 	freeHint int // first mask word that may hold a free (idle, not dirty) PE
 
-	gm  [][][]int // per meta state, per slot: the guard's member MIMD states
-	ens []int64   // per slot of the running body: enabled PE count
+	lay *layout // guard members and evaluation-stack depths per slot
+	ens []int64 // per slot of the running body: enabled PE count
 
 	chunks []chunk
 	wss    []*wscratch
@@ -320,17 +319,18 @@ type chunk struct {
 	p0, wd int // the chunk's PEs are [p0, p0+wd)
 
 	// Evaluation stacks, depth-major: PE pe's entry at depth d is
-	// stk[d*wd+pe-p0]. Blocks are stack-balanced, so the PEs a slot
-	// enables from one MIMD state share a depth and touch one contiguous
-	// row, and the deepest block bounds the rows a compiled program
-	// needs. A push past the last row doubles the chunk's rows.
+	// stk[d*wd+pe-p0] (see row), one row per level of the program's
+	// deepest stack. Every PE a slot enables from one MIMD state reaches
+	// it at the depth the layout fixed for that state, so the slot
+	// touches fixed rows.
 	stk []ir.Word
 
 	// Return stacks: the first retRows entries of each PE depth-major
 	// in ret like stk, the rest in the PE's own retDeep[pe-p0]. Return
 	// depth is recursion depth, which nothing bounds, so one deep PE
-	// must not grow every PE's rows. retDeep is allocated on the
-	// chunk's first overflow.
+	// must not grow every PE's rows. ret is allocated only when the
+	// program pushes return sites, and retDeep on the chunk's first
+	// overflow.
 	ret     []int32
 	retDeep [][]int32
 
@@ -347,13 +347,14 @@ type chunk struct {
 	rem     []remWrite
 }
 
-// remWrite is one buffered StRemote store: slab index and value.
+// remWrite is one buffered StRemote store: the writing PE, slab index
+// and value.
 type remWrite struct {
-	idx int
-	val ir.Word
+	pe, idx int
+	val     ir.Word
 }
 
-func newVM(p *Program, conf Config, entry int) *vm {
+func newVM(p *Program, conf Config, entry int, lay *layout) *vm {
 	n := conf.N
 	m := &vm{
 		p:    p,
@@ -362,11 +363,11 @@ func newVM(p *Program, conf Config, entry int) *vm {
 		wpp:  p.Words,
 		nw:   bitset.MaskWords(n),
 		cw:   chunkPEs / 64,
+		lay:  lay,
 
 		mem:   make([]ir.Word, n*p.Words),
 		pcs:   make([]int32, n),
 		npcs:  make([]int32, n),
-		slens: make([]int32, n),
 		rlens: make([]int32, n),
 
 		occ:    make([]bitset.Mask, p.NStates),
@@ -403,28 +404,21 @@ func newVM(p *Program, conf Config, entry int) *vm {
 	}
 	copy(m.npcs, m.pcs)
 
-	m.gm = make([][][]int, len(p.Meta))
 	maxSlots := 0
 	for _, mc := range p.Meta {
-		sl := make([][]int, len(mc.Slots))
-		for si := range mc.Slots {
-			sl[si] = mc.Slots[si].Guard.Elems()
-		}
-		m.gm[mc.ID] = sl
 		maxSlots = max(maxSlots, len(mc.Slots))
 	}
 	m.ens = make([]int64, maxSlots)
 
-	// Evaluation stacks start stackRows deep, enough for every corpus
-	// program, so the hot path never allocates.
-	const stackRows = 8
 	m.chunks = make([]chunk, max((m.nw+m.cw-1)/m.cw, 1))
 	for c := range m.chunks {
 		ch := &m.chunks[c]
 		ch.p0 = c * chunkPEs
 		ch.wd = min(n-ch.p0, chunkPEs)
-		ch.stk = make([]ir.Word, stackRows*ch.wd)
-		ch.ret = make([]int32, retRows*ch.wd)
+		ch.stk = make([]ir.Word, lay.rows*ch.wd)
+		if lay.ret {
+			ch.ret = make([]int32, retRows*ch.wd)
+		}
 	}
 
 	workers := conf.Workers
@@ -465,13 +459,19 @@ func (m *vm) chunkWords(c int) (int, int) {
 	return w0, w1
 }
 
-// Run executes a compiled meta-state program on the SIMD machine.
+// Run executes a compiled meta-state program on the SIMD machine. A
+// program that breaks a rule the machine relies on (see Validate) is
+// refused with a *ProgramError before anything runs.
 func Run(p *Program, conf Config) (*Result, error) {
 	conf, entry, err := prepare(p, conf)
 	if err != nil {
 		return nil, err
 	}
-	m := newVM(p, conf, entry)
+	lay, err := newLayout(p)
+	if err != nil {
+		return nil, err
+	}
+	m := newVM(p, conf, entry, lay)
 	defer m.close()
 
 	cur := p.Start

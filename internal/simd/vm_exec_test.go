@@ -180,40 +180,47 @@ func TestExecNProcAndUnary(t *testing.T) {
 	}
 }
 
+// TestExecOutOfRangeAddress: a static and a computed address out of
+// range fail at run time, as in the reference. Each fixture stores the
+// value it loads, so its stack ends the body empty.
 func TestExecOutOfRangeAddress(t *testing.T) {
-	p := execProgram(1, ir.Instr{Op: ir.LdLocal, Imm: 99})
-	if _, err := Run(p, Config{N: 1}); err == nil ||
-		!strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("address check missing: %v", err)
-	}
-	p2 := execProgram(1,
-		ir.Instr{Op: ir.PushC, Imm: -7},
-		ir.Instr{Op: ir.LdIndex, Imm: 0},
-	)
-	if _, err := Run(p2, Config{N: 1}); err == nil {
-		t.Fatalf("negative index accepted")
+	for _, tc := range []struct {
+		name string
+		code []ir.Instr
+		want string
+	}{
+		{"static", []ir.Instr{{Op: ir.LdLocal, Imm: 99}, {Op: ir.StLocal, Imm: 0}}, "memory address 99 out of range [0,1)"},
+		{"negative index", []ir.Instr{{Op: ir.PushC, Imm: -7}, {Op: ir.LdIndex, Imm: 0}, {Op: ir.StLocal, Imm: 0}},
+			"memory address -7 out of range [0,1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := refCheck(t, execProgram(1, tc.code...), Config{N: 1})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
 // TestExecPopCount pins Pop's count to the reference's semantics, which
 // pops Imm times: a negative count pops nothing, and a count past the
-// stack depth underflows however large it is.
+// stack depth underflows however large it is. Run refuses both
+// programs up front, with the depth the reference underflows at.
 func TestExecPopCount(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		code []ir.Instr
+		want string
 	}{
 		{"negative", []ir.Instr{
 			{Op: ir.PushC, Imm: 5}, {Op: ir.Pop, Imm: -1},
 			{Op: ir.StLocal, Imm: 0}, {Op: ir.StLocal, Imm: 1},
-		}},
-		{"beyond int32", []ir.Instr{{Op: ir.PushC, Imm: 5}, {Op: ir.Pop, Imm: 1 << 32}}},
+		}, "ms0 slot 3: state 0 is unbalanced: StLocal(1) at depth 0"},
+		{"beyond int32", []ir.Instr{{Op: ir.PushC, Imm: 5}, {Op: ir.Pop, Imm: 1 << 32}},
+			"ms0 slot 1: state 0 is unbalanced: Pop(4294967296) at depth 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := refCheck(t, execProgram(2, tc.code...), Config{N: 2})
-			if err == nil || !strings.Contains(err.Error(), "PE 0 evaluation stack underflow") {
-				t.Fatalf("error = %v, want PE 0 underflow", err)
-			}
+			rejected(t, execProgram(2, tc.code...), Config{N: 2}, tc.want, "PE 0 evaluation stack underflow")
 		})
 	}
 }

@@ -211,16 +211,15 @@ func TestNonTerminationGuard(t *testing.T) {
 	}
 }
 
+// TestStackUnderflowReported: an Add on an empty stack is refused by
+// Run before anything runs and underflows in the reference.
 func TestStackUnderflowReported(t *testing.T) {
 	p := tinyProgram()
 	p.Meta[0].Slots = []Slot{
 		{Kind: SlotExec, Guard: bitset.Of(0), Instr: ir.Instr{Op: ir.Add}},
 		{Kind: SlotEnd, Guard: bitset.Of(0)},
 	}
-	if _, err := Run(p, Config{N: 1}); err == nil ||
-		!strings.Contains(err.Error(), "underflow") {
-		t.Fatalf("underflow not reported: %v", err)
-	}
+	rejected(t, p, Config{N: 1}, "ms0 slot 0: state 0 is unbalanced: Add at depth 0", "PE 0 evaluation stack underflow")
 }
 
 func TestTransCostModel(t *testing.T) {

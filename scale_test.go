@@ -2,6 +2,7 @@ package msc_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"msc"
@@ -249,4 +250,36 @@ func TestParallelConversionScale(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunAllocations pins what one RunSIMD of divergent allocates at
+// 65,536 PEs on one worker: the fewest bytes and objects of three runs.
+// The stack layout sizes each chunk's evaluation slab from the
+// program's deepest stack (2 rows here), keeps no per-PE depth array
+// and allocates return rows only for a program that pushes return
+// sites; the run took 4.07 MB in 77 objects, where an 8-row slab, a
+// depth array and return rows took 8.52 MB in 96. The byte bound is
+// about 1.1 times 4.07 MB; the object bound is the 96.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const maxBytes, maxObjects = 4_476_000, 96
+	c := msc.MustCompile(harness.Divergent, msc.DefaultConfig())
+	bytes, objects := uint64(1<<63), uint64(1<<63)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.RunSIMD(msc.RunConfig{N: 65536, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	if bytes > maxBytes || objects > maxObjects {
+		t.Fatalf("RunSIMD(divergent, N=65536) allocated %d bytes in %d objects, bound %d bytes and %d objects",
+			bytes, objects, maxBytes, maxObjects)
+	}
+	t.Logf("%d bytes in %d objects", bytes, objects)
 }
