@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check perfbench-check stress stress-mscd cache-determinism cover bench fuzz experiments examples vet-examples opt-goldens clean
+.PHONY: all build test check perfbench-check stress stress-mscd cache-determinism cover bench fuzz experiments examples vet-examples opt-goldens loc clean
 
 all: build test check
 
@@ -114,6 +114,12 @@ examples:
 	go run ./examples/stencil
 	go run ./examples/taskfarm
 	go run ./examples/artifacts
+
+# Go line counts outside perfbench/ (its own module): the non-test and
+# test sizes that CHANGES.md and ROADMAP.md track from change to change.
+loc:
+	@echo "non-test: $$(find . -name '*.go' -not -path './perfbench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test:     $$(find . -name '*.go' -not -path './perfbench/*' -name '*_test.go' | xargs cat | wc -l)"
 
 clean:
 	rm -rf msc-artifacts

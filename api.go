@@ -200,15 +200,15 @@ type Config struct {
 	// then CSI → linear schedule) instead of failing. Each rung is
 	// recorded in Compiled.Degradations and the degrade.steps counter.
 	Degrade bool
-	// Metrics, when non-nil, receives the compile-phase wall times and
-	// domain counters (the obs glossary in docs/OBSERVABILITY.md).
-	// Compile records into its own recorder regardless and exposes the
-	// typed view as Compiled.Stats; setting Metrics shares the recorder,
-	// e.g. to publish it over expvar while compilation proceeds. The
-	// recorder's backing telemetry registry additionally accumulates
-	// compile-latency and meta-state histograms, servable in Prometheus
-	// form via obs.DebugServer.MountMetrics.
-	Metrics *obs.Recorder
+	// Metrics, when non-nil, receives this compile's metrics when it
+	// ends, successful or not: each phase wall time as the counter
+	// phase.<name> in nanoseconds, the domain counters of the obs
+	// glossary (docs/OBSERVABILITY.md), and the compile.latency_ns and
+	// compile.meta_states histograms. Compile records into a recorder
+	// of its own, whose typed view is Compiled.Stats, so a registry
+	// shared by many compiles never changes what Stats reports. Serve
+	// it in Prometheus form via obs.DebugServer.MountMetrics.
+	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records the compile as a hierarchical span
 	// tree: one compile root (per attempt when degrading), a phase.*
 	// child per pipeline phase, and — via the conversion options — one
@@ -295,8 +295,8 @@ func Analyze(g *cfg.Graph, a *metastate.Automaton) []Diagnostic {
 	return analysis.Analyze(g, a)
 }
 
-// CompileStats is the typed form of the compile metrics a pipeline run
-// records (the raw recorder is available via Config.Metrics).
+// CompileStats is the typed form of the compile metrics one
+// CompileContext call records (Config.Metrics receives them too).
 type CompileStats struct {
 	// PhaseWall holds per-phase wall time in pipeline order.
 	PhaseWall []obs.Phase `json:"phases"`
@@ -400,20 +400,19 @@ func CompileContext(ctx context.Context, source string, conf Config) (*Compiled,
 	if err := conf.Validate(); err != nil {
 		return nil, err
 	}
+	rec := obs.NewRecorder()
+	defer rec.AddTo(conf.Metrics)
 	if conf.Cache != nil {
-		return conf.Cache.compile(ctx, source, conf)
+		return conf.Cache.compile(ctx, source, conf, rec)
 	}
-	return compileFull(ctx, source, conf)
+	return compileFull(ctx, source, conf, rec)
 }
 
 // compileFull is the uncached pipeline: the degradation-ladder loop
-// around compileOnce. The cache layer calls it on a miss; everything
-// else about it predates the cache and is unchanged by it.
-func compileFull(ctx context.Context, source string, conf Config) (*Compiled, error) {
-	rec := conf.Metrics
-	if rec == nil {
-		rec = obs.NewRecorder()
-	}
+// around compileOnce, every attempt recording into rec. The cache layer
+// calls it on a miss; everything else about it predates the cache and
+// is unchanged by it.
+func compileFull(ctx context.Context, source string, conf Config, rec *obs.Recorder) (*Compiled, error) {
 	start := time.Now()
 	span := conf.Tracer.StartSpan("compile", conf.TraceParent,
 		telemetry.Int("source_bytes", int64(len(source))))
@@ -424,7 +423,7 @@ func compileFull(ctx context.Context, source string, conf Config) (*Compiled, er
 		c, err := compileOnce(ctx, source, conf, rec, span)
 		if err == nil {
 			c.Degradations = degradations
-			observeCompile(rec, span, start, c)
+			observeCompile(conf.Metrics, span, start, c)
 			return c, nil
 		}
 		var be *BudgetError
@@ -460,10 +459,9 @@ var (
 	cyclesBuckets  = telemetry.ExpBuckets(100, 10, 9)
 )
 
-// observeCompile lands the per-compile histogram observations in the
-// recorder's backing registry and finishes the compile span.
-func observeCompile(rec *obs.Recorder, span *telemetry.Span, start time.Time, c *Compiled) {
-	reg := rec.Registry()
+// observeCompile lands the per-compile histogram observations in reg
+// and finishes the compile span.
+func observeCompile(reg *telemetry.Registry, span *telemetry.Span, start time.Time, c *Compiled) {
 	reg.Histogram("compile.latency_ns", "compile wall time (ns)", latencyBuckets).
 		Observe(time.Since(start).Nanoseconds())
 	reg.Histogram("compile.meta_states", "meta states per compile", statesBuckets).

@@ -7,6 +7,7 @@ import (
 	"msc"
 	"msc/internal/harness"
 	"msc/internal/obs"
+	"msc/internal/telemetry"
 )
 
 func TestCompilePipeline(t *testing.T) {
@@ -166,8 +167,8 @@ func TestRunConfigValidate(t *testing.T) {
 }
 
 func TestCompileStats(t *testing.T) {
-	rec := obs.NewRecorder()
-	c, err := msc.Compile(harness.Divergent, msc.Config{Compress: true, CSI: true, Hash: true, Metrics: rec})
+	reg := telemetry.NewRegistry()
+	c, err := msc.Compile(harness.Divergent, msc.Config{Compress: true, CSI: true, Hash: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +191,9 @@ func TestCompileStats(t *testing.T) {
 	if len(s.PhaseWall) != 8 {
 		t.Errorf("got %d phases, want 8", len(s.PhaseWall))
 	}
-	// The shared recorder sees the same counters.
-	if got := rec.Value(obs.CounterMetaStates); got != s.MetaStates {
-		t.Errorf("shared recorder meta_states = %d, want %d", got, s.MetaStates)
+	// The registry receives the same counters.
+	if got := reg.Counter(obs.CounterMetaStates, "").Value(); got != s.MetaStates {
+		t.Errorf("registry meta_states = %d, want %d", got, s.MetaStates)
 	}
 }
 

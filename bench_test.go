@@ -12,7 +12,6 @@ import (
 	"msc/internal/harness"
 	"msc/internal/hashgen"
 	metastate "msc/internal/msc"
-	"msc/internal/obs"
 	"msc/internal/progen"
 	"msc/internal/telemetry"
 )
@@ -464,23 +463,23 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 }
 
 // BenchmarkTelemetryEnabled is the same workload with the full stack
-// attached — tracer, metrics recorder, and exact (period-1) profiler —
+// attached — tracer, metrics registry, and exact (period-1) profiler —
 // bounding what "everything on" costs relative to the baseline above.
 func BenchmarkTelemetryEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr := telemetry.NewTracer()
-		rec := obs.NewRecorder()
+		reg := telemetry.NewRegistry()
 		conf := msc.DefaultConfig()
 		conf.Tracer = tr
-		conf.Metrics = rec
+		conf.Metrics = reg
 		c, err := msc.Compile(harness.Divergent, conf)
 		if err != nil {
 			b.Fatal(err)
 		}
 		prof := telemetry.NewProfiler(1)
 		if _, err := c.RunSIMD(msc.RunConfig{
-			N: 16, Tracer: tr, Profiler: prof, Metrics: rec.Registry(),
+			N: 16, Tracer: tr, Profiler: prof, Metrics: reg,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -149,13 +149,9 @@ func (c *Compiled) Fingerprint() string {
 }
 
 // compile is the cached CompileContext: single-flight around
-// (store lookup → real compile → store write-back).
-func (cc *Cache) compile(ctx context.Context, source string, conf Config) (*Compiled, error) {
-	// The hit path and the miss path must share one recorder, so the
-	// caller sees cache.* counters either way.
-	if conf.Metrics == nil {
-		conf.Metrics = obs.NewRecorder()
-	}
+// (store lookup → real compile → store write-back), recording the
+// cache.* counters into the call's recorder rec.
+func (cc *Cache) compile(ctx context.Context, source string, conf Config, rec *obs.Recorder) (*Compiled, error) {
 	key := cacheKey(source, conf)
 	name := cache.Name(key)
 	for {
@@ -173,7 +169,7 @@ func (cc *Cache) compile(ctx context.Context, source string, conf Config) (*Comp
 					}
 					return nil, fl.err
 				}
-				conf.Metrics.Add(obs.CounterCacheShared, 1)
+				rec.Add(obs.CounterCacheShared, 1)
 				cc.shared.Add(1)
 				return fl.c.sharedCopy(), nil
 			case <-ctx.Done():
@@ -184,7 +180,7 @@ func (cc *Cache) compile(ctx context.Context, source string, conf Config) (*Comp
 		cc.flights[name] = fl
 		cc.mu.Unlock()
 
-		c, err := cc.leaderCompile(ctx, source, conf, key, name)
+		c, err := cc.leaderCompile(ctx, source, conf, rec, key, name)
 		fl.c, fl.err = c, err
 		fl.canceled = err != nil && ctx.Err() != nil
 		cc.mu.Lock()
@@ -198,8 +194,7 @@ func (cc *Cache) compile(ctx context.Context, source string, conf Config) (*Comp
 // leaderCompile does the real work of one flight: consult the store,
 // fall through to the pipeline on anything but a verified hit, and
 // store the result back when it is cacheable.
-func (cc *Cache) leaderCompile(ctx context.Context, source string, conf Config, key artifact.Key, name string) (*Compiled, error) {
-	rec := conf.Metrics
+func (cc *Cache) leaderCompile(ctx context.Context, source string, conf Config, rec *obs.Recorder, key artifact.Key, name string) (*Compiled, error) {
 	var cacheErrs []string
 	absorb := func(err error) {
 		cacheErrs = append(cacheErrs, err.Error())
@@ -233,7 +228,7 @@ func (cc *Cache) leaderCompile(ctx context.Context, source string, conf Config, 
 		rec.Add(obs.CounterCacheMisses, 1)
 	}
 
-	c, err := compileFull(ctx, source, conf)
+	c, err := compileFull(ctx, source, conf, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"msc/internal/faultinject"
 	"msc/internal/obs"
 	"msc/internal/progen"
+	"msc/internal/telemetry"
 )
 
 // A source with a static-analysis finding, so the diagnostic round trip
@@ -32,10 +33,10 @@ func openTestCache(t *testing.T) *Cache {
 
 func TestCacheColdWarmHit(t *testing.T) {
 	cc := openTestCache(t)
-	rec := obs.NewRecorder()
+	reg := telemetry.NewRegistry()
 	conf := DefaultConfig()
 	conf.Cache = cc
-	conf.Metrics = rec
+	conf.Metrics = reg
 
 	cold, err := Compile(cachedSrc, conf)
 	if err != nil {
@@ -47,7 +48,7 @@ func TestCacheColdWarmHit(t *testing.T) {
 	if cold.AST == nil {
 		t.Fatal("cold compile lost its AST")
 	}
-	if n := rec.Value(obs.CounterPipelineRuns); n != 1 {
+	if n := reg.Counter(obs.CounterPipelineRuns, "").Value(); n != 1 {
 		t.Fatalf("pipeline runs after cold = %d", n)
 	}
 
@@ -61,12 +62,12 @@ func TestCacheColdWarmHit(t *testing.T) {
 	if warm.AST != nil {
 		t.Fatal("cache hits carry no AST by contract")
 	}
-	if n := rec.Value(obs.CounterPipelineRuns); n != 1 {
+	if n := reg.Counter(obs.CounterPipelineRuns, "").Value(); n != 1 {
 		t.Fatalf("pipeline runs after warm = %d, want 1 (the hit must not recompile)", n)
 	}
-	if rec.Value(obs.CounterCacheHits) != 1 || rec.Value(obs.CounterCacheMisses) != 1 || rec.Value(obs.CounterCacheStores) != 1 {
+	if reg.Counter(obs.CounterCacheHits, "").Value() != 1 || reg.Counter(obs.CounterCacheMisses, "").Value() != 1 || reg.Counter(obs.CounterCacheStores, "").Value() != 1 {
 		t.Fatalf("cache counters: hits=%d misses=%d stores=%d",
-			rec.Value(obs.CounterCacheHits), rec.Value(obs.CounterCacheMisses), rec.Value(obs.CounterCacheStores))
+			reg.Counter(obs.CounterCacheHits, "").Value(), reg.Counter(obs.CounterCacheMisses, "").Value(), reg.Counter(obs.CounterCacheStores, "").Value())
 	}
 	if cold.Fingerprint() != warm.Fingerprint() {
 		t.Fatal("warm hit is not byte-identical to the cold compile")
@@ -97,11 +98,11 @@ func TestCacheFaultRecoveryMatrix(t *testing.T) {
 	}
 	wantFP := base.Fingerprint()
 
-	compile := func(t *testing.T, cc *Cache, rec *obs.Recorder) *Compiled {
+	compile := func(t *testing.T, cc *Cache, reg *telemetry.Registry) *Compiled {
 		t.Helper()
 		c := conf
 		c.Cache = cc
-		c.Metrics = rec
+		c.Metrics = reg
 		got, err := Compile(cachedSrc, c)
 		if err != nil {
 			t.Fatalf("cached compile must never fail on a cache fault: %v", err)
@@ -117,13 +118,13 @@ func TestCacheFaultRecoveryMatrix(t *testing.T) {
 		undo := faultinject.Activate(&faultinject.Plan{Fault: faultinject.TornWrite, Byte: 100, Times: 1})
 		compile(t, cc, nil) // the tear is silent at write time
 		undo()
-		rec := obs.NewRecorder()
-		got := compile(t, cc, rec) // detects, quarantines, recompiles, re-stores
+		reg := telemetry.NewRegistry()
+		got := compile(t, cc, reg) // detects, quarantines, recompiles, re-stores
 		if got.Stats.CacheOutcome != "stored" || len(got.Stats.CacheErrors) == 0 {
 			t.Fatalf("outcome %q errors %v; want stored with absorbed error", got.Stats.CacheOutcome, got.Stats.CacheErrors)
 		}
-		if rec.Value(obs.CounterCacheQuarantined) != 1 {
-			t.Fatalf("quarantined counter = %d", rec.Value(obs.CounterCacheQuarantined))
+		if reg.Counter(obs.CounterCacheQuarantined, "").Value() != 1 {
+			t.Fatalf("quarantined counter = %d", reg.Counter(obs.CounterCacheQuarantined, "").Value())
 		}
 		if got = compile(t, cc, nil); got.Stats.CacheOutcome != "hit" {
 			t.Fatalf("post-recovery outcome = %q, want hit", got.Stats.CacheOutcome)
@@ -132,14 +133,14 @@ func TestCacheFaultRecoveryMatrix(t *testing.T) {
 
 	t.Run("enospc-at-write-n", func(t *testing.T) {
 		cc := openTestCache(t)
-		rec := obs.NewRecorder()
+		reg := telemetry.NewRegistry()
 		undo := faultinject.Activate(&faultinject.Plan{Fault: faultinject.WriteENOSPC, Nth: 1, Times: 1})
-		got := compile(t, cc, rec)
+		got := compile(t, cc, reg)
 		undo()
 		if got.Stats.CacheOutcome != "uncached" || len(got.Stats.CacheErrors) == 0 {
 			t.Fatalf("outcome %q errors %v; want uncached with absorbed ENOSPC", got.Stats.CacheOutcome, got.Stats.CacheErrors)
 		}
-		if rec.Value(obs.CounterCacheErrors) == 0 {
+		if reg.Counter(obs.CounterCacheErrors, "").Value() == 0 {
 			t.Fatal("cache.errors not recorded")
 		}
 		if got = compile(t, cc, nil); got.Stats.CacheOutcome != "stored" {
@@ -211,10 +212,10 @@ func TestCacheFaultRecoveryMatrix(t *testing.T) {
 // store instead — either way the pipeline runs exactly once.
 func TestCacheSingleFlight(t *testing.T) {
 	cc := openTestCache(t)
-	rec := obs.NewRecorder()
+	reg := telemetry.NewRegistry()
 	conf := DefaultConfig()
 	conf.Cache = cc
-	conf.Metrics = rec
+	conf.Metrics = reg
 
 	undo := faultinject.Activate(&faultinject.Plan{
 		Fault: faultinject.SlowPhase, Phase: obs.PhaseConvert, Delay: 300 * time.Millisecond, Times: 1,
@@ -245,11 +246,11 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("compile %d returned a different result", i)
 		}
 	}
-	if runs := rec.Value(obs.CounterPipelineRuns); runs != 1 {
+	if runs := reg.Counter(obs.CounterPipelineRuns, "").Value(); runs != 1 {
 		t.Fatalf("pipeline ran %d times for %d identical concurrent compiles", runs, n)
 	}
-	shared := rec.Value(obs.CounterCacheShared)
-	hits := rec.Value(obs.CounterCacheHits)
+	shared := reg.Counter(obs.CounterCacheShared, "").Value()
+	hits := reg.Counter(obs.CounterCacheHits, "").Value()
 	if shared+hits != n-1 {
 		t.Fatalf("dedup accounting: shared=%d hits=%d, want %d combined", shared, hits, n-1)
 	}
@@ -267,10 +268,10 @@ func TestCacheSingleFlight(t *testing.T) {
 // and the flight table must not leak either way.
 func TestCacheLeaderCancelPromotion(t *testing.T) {
 	cc := openTestCache(t)
-	rec := obs.NewRecorder()
+	reg := telemetry.NewRegistry()
 	conf := DefaultConfig()
 	conf.Cache = cc
-	conf.Metrics = rec
+	conf.Metrics = reg
 
 	key := cacheKey(cachedSrc, conf)
 	name := cache.Name(key)
@@ -309,7 +310,7 @@ func TestCacheLeaderCancelPromotion(t *testing.T) {
 	if r.c.Stats.CacheOutcome != "stored" {
 		t.Fatalf("promoted waiter outcome = %q, want stored (a real compile)", r.c.Stats.CacheOutcome)
 	}
-	if runs := rec.Value(obs.CounterPipelineRuns); runs != 1 {
+	if runs := reg.Counter(obs.CounterPipelineRuns, "").Value(); runs != 1 {
 		t.Fatalf("pipeline runs = %d", runs)
 	}
 	if cc.activeFlights() != 0 {
@@ -372,7 +373,7 @@ func TestCacheConfigFingerprint(t *testing.T) {
 		func(c *Config) { c.Verify = true },
 		func(c *Config) { c.Degrade = true },
 		func(c *Config) { c.Limits.Deadline = time.Hour },
-		func(c *Config) { c.Metrics = obs.NewRecorder() },
+		func(c *Config) { c.Metrics = telemetry.NewRegistry() },
 	}
 	for i, mut := range neutral {
 		c := base
@@ -388,10 +389,10 @@ func TestCacheConfigFingerprint(t *testing.T) {
 // config) identity — it must not be cached.
 func TestCacheDegradedNotStored(t *testing.T) {
 	cc := openTestCache(t)
-	rec := obs.NewRecorder()
+	reg := telemetry.NewRegistry()
 	conf := DefaultConfig()
 	conf.Cache = cc
-	conf.Metrics = rec
+	conf.Metrics = reg
 	conf.Degrade = true
 
 	undo := faultinject.Activate(&faultinject.Plan{

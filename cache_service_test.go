@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"msc"
 	"msc/internal/faultinject"
+	"msc/internal/harness"
 	"msc/internal/obs"
 	"msc/internal/telemetry"
 )
@@ -115,6 +117,26 @@ func TestServiceCacheSingleFlight(t *testing.T) {
 	}
 	if cc.Stats().Entries != 1 {
 		t.Fatalf("store entries = %d", cc.Stats().Entries)
+	}
+
+	// A second program, compiled and then served from the store, carries
+	// its own counters both times, not the service's running totals.
+	solo, err := msc.Compile(harness.Divergent, msc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, outcome := range []string{"stored", "hit"} {
+		w := postCompile(t, svc, "/compile", compileBody(t, harness.Divergent, ""))
+		var resp msc.CompileResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("second program: status %d body %s", w.Code, w.Body.String())
+		}
+		if resp.Stats.CacheOutcome != outcome {
+			t.Fatalf("second program: cache outcome %q, want %q", resp.Stats.CacheOutcome, outcome)
+		}
+		if got, want := statsCounters(resp.Stats), statsCounters(solo.Stats); !reflect.DeepEqual(got, want) {
+			t.Errorf("second program %s: stats\n%+v\nwant its solo compile's\n%+v", outcome, got, want)
+		}
 	}
 }
 

@@ -116,11 +116,10 @@ func convFlags(fs *flag.FlagSet) func() msc.Config {
 	}
 }
 
-// startDebug starts the pprof/expvar server when addr is non-empty,
-// publishes the compile recorder over expvar, and serves its metrics
-// registry as Prometheus text at /metrics. The returned closer is
-// always safe to call.
-func startDebug(addr string, rec *obs.Recorder, stderr io.Writer) (func(), error) {
+// startDebug starts the pprof/expvar server when addr is non-empty
+// and serves the compile's metrics registry as Prometheus text at
+// /metrics. The returned closer is always safe to call.
+func startDebug(addr string, reg *telemetry.Registry, stderr io.Writer) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
 	}
@@ -128,8 +127,7 @@ func startDebug(addr string, rec *obs.Recorder, stderr io.Writer) (func(), error
 	if err != nil {
 		return func() {}, err
 	}
-	rec.Publish("msc.compile")
-	srv.MountMetrics(rec.Registry())
+	srv.MountMetrics(reg)
 	fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (expvar at /debug/vars, Prometheus at /metrics)\n", srv.Addr())
 	return func() { srv.Close() }, nil
 }
@@ -173,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	conf := conv()
-	conf.Metrics = obs.NewRecorder()
+	conf.Metrics = telemetry.NewRegistry()
 	if *cacheDir != "" {
 		cc, err := msc.OpenCache(*cacheDir)
 		if err != nil {
@@ -300,7 +298,7 @@ func profile(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	conf := conv()
-	conf.Metrics = obs.NewRecorder()
+	conf.Metrics = telemetry.NewRegistry()
 	closeDebug, err := startDebug(*pprofAddr, conf.Metrics, stderr)
 	if err != nil {
 		return err

@@ -2,7 +2,7 @@ package msc_test
 
 import (
 	"encoding/json"
-	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -14,101 +14,94 @@ import (
 
 // TestConcurrentCompilesShareConfig is the shared-infrastructure race
 // test: N goroutines compile through ONE Config value carrying a
-// shared Recorder (one telemetry.Registry) and a shared Tracer — the
-// way CompileService uses the library. Under -race this flushes out
-// any unsynchronized state; the assertions below additionally catch
-// lost counter updates and cross-request contamination.
+// shared telemetry.Registry and a shared Tracer — the way
+// CompileService uses the library. Under -race this flushes out any
+// unsynchronized state; the assertions below additionally catch lost
+// counter updates and cross-request contamination.
 func TestConcurrentCompilesShareConfig(t *testing.T) {
 	const workers = 16
 
-	rec := obs.NewRecorderIn(telemetry.NewRegistry())
+	reg := telemetry.NewRegistry()
 	conf := msc.DefaultConfig()
-	conf.Metrics = rec
+	conf.Metrics = reg
 	conf.Tracer = telemetry.NewTracer()
 
-	// Baseline: one solo compile of the reference program, so we know
-	// exactly how many meta states one compile contributes.
+	// Baseline: one compile of the reference program, so we know
+	// exactly what one compile contributes.
 	refSrc := readSource(t, "testdata/vet/barriers.mc")
 	refCompiled, err := msc.Compile(refSrc, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refMPL := refCompiled.MPL()
-	// CounterTokens accumulates (unlike the state counts, which are
-	// last-value), so it is the counter that detects lost updates.
-	perCompile := rec.Value(obs.CounterTokens)
-	if perCompile < 1 {
-		t.Fatalf("baseline compile recorded no tokens")
-	}
 
 	// Half the goroutines compile the identical source (results must be
 	// byte-identical to the baseline — concurrency must not perturb the
 	// automaton); the other half compile distinct progen programs
 	// (results must stay distinct — no cross-request bleed).
 	var wg sync.WaitGroup
-	mpls := make([]string, workers)
+	srcs := make([]string, workers)
+	compiled := make([]*msc.Compiled, workers)
 	errs := make([]error, workers)
-	distinct := make([]string, workers)
 	for i := 0; i < workers; i++ {
+		srcs[i] = refSrc
+		if i%2 == 1 {
+			srcs[i] = progen.Source(progen.Params{
+				Seed: int64(9000 + i), Barriers: true, Floats: true,
+				MaxDepth: 3, MaxStmts: 5, Vars: 4, LoopTrip: 3,
+			})
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			src := refSrc
-			if i%2 == 1 {
-				src = progen.Source(progen.Params{
-					Seed: int64(9000 + i), Barriers: true, Floats: true,
-					MaxDepth: 3, MaxStmts: 5, Vars: 4, LoopTrip: 3,
-				})
-				distinct[i] = src
-			}
-			c, err := msc.Compile(src, conf)
-			if err != nil {
-				errs[i] = fmt.Errorf("worker %d: %w", i, err)
-				return
-			}
-			mpls[i] = c.MPL()
+			compiled[i], errs[i] = msc.Compile(srcs[i], conf)
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
 
-	var distinctTokens int64
-	for i := 0; i < workers; i++ {
-		if i%2 == 0 {
-			if mpls[i] != refMPL {
-				t.Errorf("worker %d: identical source produced a different automaton under concurrency", i)
-			}
-		} else {
-			if mpls[i] == refMPL {
-				t.Errorf("worker %d: distinct source produced the reference automaton (cross-request bleed?)\n%s", i, distinct[i])
-			}
-			// Recount this program's token contribution solo, through a
-			// private recorder, for the counter check below.
-			solo := obs.NewRecorderIn(telemetry.NewRegistry())
-			soloConf := msc.DefaultConfig()
-			soloConf.Metrics = solo
-			if _, err := msc.Compile(distinct[i], soloConf); err != nil {
-				t.Fatalf("worker %d recount: %v", i, err)
-			}
-			distinctTokens += solo.Value(obs.CounterTokens)
+	// CounterTokens accumulates (unlike the state counts, which are
+	// last-value), so it is the counter that detects lost updates.
+	tokens := refCompiled.Stats.TokensParsed
+	for i, c := range compiled {
+		if same := c.MPL() == refMPL; same != (i%2 == 0) {
+			t.Errorf("worker %d: MPL identical to the reference = %t (cross-request bleed?)\n%s", i, same, srcs[i])
 		}
+		// Each compile's stats describe that compile alone: they match
+		// a solo compile of the same source into no registry.
+		solo, err := msc.Compile(srcs[i], msc.DefaultConfig())
+		if err != nil {
+			t.Fatalf("worker %d recount: %v", i, err)
+		}
+		if got, want := statsCounters(c.Stats), statsCounters(solo.Stats); !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d: stats under a shared registry\n%+v\nwant a solo compile's\n%+v", i, got, want)
+		}
+		tokens += solo.Stats.TokensParsed
 	}
 
-	// No counter loss: the shared recorder saw the baseline, workers/2
-	// reference compiles, and every distinct program's tokens.
-	want := perCompile + perCompile*int64(workers/2) + distinctTokens
-	if got := rec.Value(obs.CounterTokens); got != want {
-		t.Errorf("shared recorder lost updates: tokens counter = %d, want %d", got, want)
+	// No counter loss: the shared registry saw the baseline and every
+	// worker's tokens.
+	if got := reg.Counter(obs.CounterTokens, "").Value(); got != tokens {
+		t.Errorf("shared registry lost updates: tokens counter = %d, want %d", got, tokens)
 	}
+}
+
+// statsCounters returns s without the fields that differ between two
+// compiles of one program: the wall times and the cache outcome.
+func statsCounters(s *msc.CompileStats) msc.CompileStats {
+	c := *s
+	c.PhaseWall, c.CacheOutcome, c.CacheErrors = nil, "", nil
+	return c
 }
 
 // TestConcurrentServiceCompiles drives the same property through the
 // HTTP handler: concurrent identical requests return byte-identical
-// MPL, and the service recorder's counters account for every request.
+// MPL and the stats of one solo compile, and the service's counters
+// account for every request.
 func TestConcurrentServiceCompiles(t *testing.T) {
 	const n = 12
 	svc := msc.NewCompileService(msc.ServiceConfig{Workers: 4})
@@ -116,8 +109,14 @@ func TestConcurrentServiceCompiles(t *testing.T) {
 	src := readSource(t, "testdata/vet/barriers.mc")
 	body := compileBody(t, src, `"emit": ["mpl"]`)
 
+	solo, err := msc.Compile(src, msc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := statsCounters(solo.Stats)
+
 	var wg sync.WaitGroup
-	mpls := make([]string, n)
+	resps := make([]msc.CompileResponse, n)
 	codes := make([]int, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -125,20 +124,24 @@ func TestConcurrentServiceCompiles(t *testing.T) {
 			defer wg.Done()
 			w := postCompile(t, svc, "/compile", body)
 			codes[i] = w.Code
-			var resp msc.CompileResponse
 			if w.Code == 200 {
-				_ = json.Unmarshal(w.Body.Bytes(), &resp)
-				mpls[i] = resp.MPL
+				_ = json.Unmarshal(w.Body.Bytes(), &resps[i])
 			}
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
+	for i, resp := range resps {
 		if codes[i] != 200 {
 			t.Fatalf("request %d: status %d", i, codes[i])
 		}
-		if mpls[i] == "" || mpls[i] != mpls[0] {
+		if resp.MPL == "" || resp.MPL != resps[0].MPL {
 			t.Errorf("request %d: automaton differs under concurrency", i)
+		}
+		if resp.Stats == nil {
+			t.Fatalf("request %d: response carries no stats", i)
+		}
+		if got := statsCounters(resp.Stats); !reflect.DeepEqual(got, want) {
+			t.Errorf("request %d: stats\n%+v\nwant a solo compile's\n%+v", i, got, want)
 		}
 	}
 	st := statusz(t, svc)

@@ -97,14 +97,3 @@ func (s *DebugServer) Close() error {
 	})
 	return s.err
 }
-
-// Publish exposes the recorder under the given expvar name; the
-// published variable snapshots lazily, so counters recorded after
-// Publish are visible on the next /debug/vars read. Re-publishing an
-// existing name is a no-op (expvar forbids redefinition).
-func (r *Recorder) Publish(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}

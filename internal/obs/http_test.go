@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"msc/internal/faultinject"
+	"msc/internal/telemetry"
 )
 
 func TestDebugServerServesPprofAndExpvar(t *testing.T) {
@@ -18,11 +19,6 @@ func TestDebugServerServesPprofAndExpvar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	r := NewRecorder()
-	r.Add(CounterMetaStates, 7)
-	r.Publish("obs_test_compile")
-	r.Publish("obs_test_compile") // duplicate publish must not panic
 
 	get := func(path string) string {
 		t.Helper()
@@ -53,34 +49,14 @@ func TestDebugServerServesPprofAndExpvar(t *testing.T) {
 	if err := json.Unmarshal([]byte(vars), &decoded); err != nil {
 		t.Fatalf("expvar output not JSON: %v", err)
 	}
-	raw, ok := decoded["obs_test_compile"]
-	if !ok {
-		t.Fatalf("published recorder missing from /debug/vars: %s", vars)
-	}
-	var m Metrics
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Counter(CounterMetaStates) != 7 {
-		t.Errorf("expvar counter = %d, want 7", m.Counter(CounterMetaStates))
-	}
-
-	// Lazy snapshot: counters recorded after Publish appear on reread.
-	r.Add(CounterMetaStates, 1)
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(decoded["obs_test_compile"], &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Counter(CounterMetaStates) != 8 {
-		t.Errorf("expvar counter after update = %d, want 8", m.Counter(CounterMetaStates))
+	if _, ok := decoded["memstats"]; !ok {
+		t.Errorf("/debug/vars lacks the runtime's memstats: %s", vars)
 	}
 }
 
-// TestDebugServerMetrics mounts a recorder's registry at /metrics and
-// scrapes it: pipeline counters recorded through the Recorder must come
-// back in Prometheus text exposition form.
+// TestDebugServerMetrics mounts a registry at /metrics and scrapes it:
+// pipeline counters a Recorder adds to it must come back in Prometheus
+// text exposition form.
 func TestDebugServerMetrics(t *testing.T) {
 	srv, err := StartDebugServer("127.0.0.1:0")
 	if err != nil {
@@ -88,10 +64,12 @@ func TestDebugServerMetrics(t *testing.T) {
 	}
 	defer srv.Close()
 
+	reg := telemetry.NewRegistry()
+	srv.MountMetrics(reg)
 	r := NewRecorder()
 	r.Add(CounterMetaStates, 5)
 	r.AddPhase(PhaseConvert, 1500)
-	srv.MountMetrics(r.Registry())
+	r.AddTo(reg)
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	if err != nil {
@@ -113,8 +91,10 @@ func TestDebugServerMetrics(t *testing.T) {
 		t.Errorf("scrape missing phase wall time:\n%s", body)
 	}
 
-	// Metrics recorded after the mount appear on the next scrape.
+	// Metrics added after a scrape appear on the next one.
+	r = NewRecorder()
 	r.Add(CounterMetaStates, 2)
+	r.AddTo(reg)
 	resp2, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +121,7 @@ func TestDebugServerCloseUnblocksAndDoesNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRecorder()
-	r.Add(CounterMetaStates, 3)
-	srv.MountMetrics(r.Registry())
+	srv.MountMetrics(telemetry.NewRegistry())
 
 	// A handler that blocks until its request context is canceled:
 	// without the BaseContext wiring, Close would leave it (and its

@@ -10,14 +10,13 @@
 // The Recorder is deliberately generic — ordered named counters and
 // phases — so internal packages need no schema coordination; the typed
 // view over the well-known names lives with the pipeline driver (the
-// root package's CompileStats). All Recorder methods are safe on a nil
-// receiver, so instrumented code never has to guard the hook.
+// root package's CompileStats). Each compile records into its own
+// Recorder, which adds to a shared telemetry registry when the compile
+// ends. All Recorder methods are safe on a nil receiver, so
+// instrumented code never has to guard the hook.
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -99,10 +98,10 @@ const (
 	PhaseCodegen  = "codegen"
 )
 
-// Counter is one named monotonic value.
+// Counter is one named value.
 type Counter struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
+	Name  string
+	Value int64
 }
 
 // Phase is one named wall-time measurement.
@@ -115,78 +114,45 @@ type Phase struct {
 // telemetry registry ("phase.parse" holds parse wall nanoseconds).
 const PhaseMetricPrefix = "phase."
 
-// Recorder accumulates phases and counters. It is safe for concurrent
-// use and all methods are no-ops on a nil receiver, so callers thread
-// an optional *Recorder without nil checks at every site.
-//
-// Values live in a telemetry.Registry — the single metrics source of
-// truth — so anything a Recorder records is also visible to Prometheus
-// scrapes of that registry. The Recorder itself only keeps the
-// first-use ordering that makes Snapshot output byte-stable. Phase wall
-// times are registry counters holding nanoseconds under
-// PhaseMetricPrefix + name.
+// Recorder accumulates the phases and counters of one compile as plain
+// values, in first-use order so Snapshot output is byte-stable. It is
+// safe for concurrent use and all methods are no-ops on a nil
+// receiver, so callers thread an optional *Recorder without nil checks
+// at every site. AddTo lands what it holds in a telemetry registry.
 type Recorder struct {
-	mu         sync.Mutex
-	reg        *telemetry.Registry
-	phaseOrder []string
-	phaseByN   map[string]*telemetry.Counter
-	countOrder []string
-	countByN   map[string]*telemetry.Counter
+	mu       sync.Mutex
+	phases   []Phase
+	counters []counter
 }
 
-// NewRecorder returns an empty recorder backed by its own registry.
+// counter is one recorded value and the operation that first recorded
+// it, which AddTo repeats on the registry.
+type counter struct {
+	Counter
+	op counterOp
+}
+
+type counterOp uint8
+
+const (
+	opAdd counterOp = iota
+	opSet
+	opMax
+)
+
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// NewRecorderIn returns a recorder whose values land in reg, so one
-// registry can aggregate pipeline counters with other telemetry (engine
-// histograms, trace-derived metrics) for a single /metrics exposition.
-func NewRecorderIn(reg *telemetry.Registry) *Recorder {
-	return &Recorder{reg: reg}
-}
-
-// Registry returns the backing telemetry registry, creating it on
-// first use; nil for a nil recorder.
-func (r *Recorder) Registry() *telemetry.Registry {
-	if r == nil {
-		return nil
+// slot returns the named counter, creating it at zero with op first;
+// callers hold r.mu.
+func (r *Recorder) slot(name string, op counterOp) *Counter {
+	for i := range r.counters {
+		if r.counters[i].Name == name {
+			return &r.counters[i].Counter
+		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.registry()
-}
-
-// registry lazily initializes the backing registry; callers hold r.mu.
-func (r *Recorder) registry() *telemetry.Registry {
-	if r.reg == nil {
-		r.reg = telemetry.NewRegistry()
-	}
-	return r.reg
-}
-
-func (r *Recorder) phaseSlot(name string) *telemetry.Counter {
-	if r.phaseByN == nil {
-		r.phaseByN = make(map[string]*telemetry.Counter)
-	}
-	c, ok := r.phaseByN[name]
-	if !ok {
-		c = r.registry().Counter(PhaseMetricPrefix+name, "phase wall time (ns)")
-		r.phaseByN[name] = c
-		r.phaseOrder = append(r.phaseOrder, name)
-	}
-	return c
-}
-
-func (r *Recorder) counterSlot(name string) *telemetry.Counter {
-	if r.countByN == nil {
-		r.countByN = make(map[string]*telemetry.Counter)
-	}
-	c, ok := r.countByN[name]
-	if !ok {
-		c = r.registry().Counter(name, "")
-		r.countByN[name] = c
-		r.countOrder = append(r.countOrder, name)
-	}
-	return c
+	r.counters = append(r.counters, counter{Counter: Counter{Name: name}, op: op})
+	return &r.counters[len(r.counters)-1].Counter
 }
 
 // Phase starts timing the named phase and returns the stop function;
@@ -205,9 +171,14 @@ func (r *Recorder) AddPhase(name string, d time.Duration) {
 		return
 	}
 	r.mu.Lock()
-	c := r.phaseSlot(name)
-	r.mu.Unlock()
-	c.Add(int64(d))
+	defer r.mu.Unlock()
+	for i := range r.phases {
+		if r.phases[i].Name == name {
+			r.phases[i].Wall += d
+			return
+		}
+	}
+	r.phases = append(r.phases, Phase{Name: name, Wall: d})
 }
 
 // Add adds delta to the named counter, creating it at zero first.
@@ -216,9 +187,8 @@ func (r *Recorder) Add(name string, delta int64) {
 		return
 	}
 	r.mu.Lock()
-	c := r.counterSlot(name)
+	r.slot(name, opAdd).Value += delta
 	r.mu.Unlock()
-	c.Add(delta)
 }
 
 // Set sets the named counter.
@@ -227,9 +197,8 @@ func (r *Recorder) Set(name string, v int64) {
 		return
 	}
 	r.mu.Lock()
-	c := r.counterSlot(name)
+	r.slot(name, opSet).Value = v
 	r.mu.Unlock()
-	c.Set(v)
 }
 
 // Max raises the named counter to v if v is larger (high-water marks).
@@ -238,9 +207,9 @@ func (r *Recorder) Max(name string, v int64) {
 		return
 	}
 	r.mu.Lock()
-	c := r.counterSlot(name)
+	c := r.slot(name, opMax)
+	c.Value = max(c.Value, v)
 	r.mu.Unlock()
-	c.Max(v)
 }
 
 // Value returns the named counter (zero when absent or nil receiver).
@@ -249,9 +218,13 @@ func (r *Recorder) Value(name string) int64 {
 		return 0
 	}
 	r.mu.Lock()
-	c := r.countByN[name]
-	r.mu.Unlock()
-	return c.Value() // nil-safe: reads zero when absent
+	defer r.mu.Unlock()
+	for _, c := range r.counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 // PhaseWall returns the accumulated wall time of the named phase.
@@ -260,9 +233,13 @@ func (r *Recorder) PhaseWall(name string) time.Duration {
 		return 0
 	}
 	r.mu.Lock()
-	c := r.phaseByN[name]
-	r.mu.Unlock()
-	return time.Duration(c.Value())
+	defer r.mu.Unlock()
+	for _, p := range r.phases {
+		if p.Name == name {
+			return p.Wall
+		}
+	}
+	return 0
 }
 
 // Snapshot returns a consistent copy of everything recorded so far.
@@ -273,22 +250,47 @@ func (r *Recorder) Snapshot() *Metrics {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m.Phases = make([]Phase, 0, len(r.phaseOrder))
-	for _, name := range r.phaseOrder {
-		m.Phases = append(m.Phases, Phase{Name: name, Wall: time.Duration(r.phaseByN[name].Value())})
-	}
-	m.Counters = make([]Counter, 0, len(r.countOrder))
-	for _, name := range r.countOrder {
-		m.Counters = append(m.Counters, Counter{Name: name, Value: r.countByN[name].Value()})
+	m.Phases = append(make([]Phase, 0, len(r.phases)), r.phases...)
+	m.Counters = make([]Counter, len(r.counters))
+	for i, c := range r.counters {
+		m.Counters[i] = c.Counter
 	}
 	return m
 }
 
+// AddTo adds everything recorded to reg: each phase's wall time to the
+// counter PhaseMetricPrefix+name, in nanoseconds, and each counter
+// with the operation that first recorded it. A registry that many
+// recorders add to therefore sums the Add counters and holds the last
+// value of each Set counter and the peak of each Max counter. A nil
+// reg or receiver adds nothing.
+func (r *Recorder) AddTo(reg *telemetry.Registry) {
+	if r == nil || reg == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, p := range r.phases {
+		reg.Counter(PhaseMetricPrefix+p.Name, "phase wall time (ns)").Add(int64(p.Wall))
+	}
+	for _, c := range r.counters {
+		rc := reg.Counter(c.Name, "")
+		switch c.op {
+		case opAdd:
+			rc.Add(c.Value)
+		case opSet:
+			rc.Set(c.Value)
+		case opMax:
+			rc.Max(c.Value)
+		}
+	}
+}
+
 // Metrics is a point-in-time copy of a Recorder: the typed struct form
-// of the compile metrics, directly JSON-encodable.
+// of the compile metrics.
 type Metrics struct {
-	Phases   []Phase   `json:"phases"`
-	Counters []Counter `json:"counters"`
+	Phases   []Phase
+	Counters []Counter
 }
 
 // Counter returns the named counter value, or zero.
@@ -311,24 +313,4 @@ func (m *Metrics) PrefixSum(prefix string) int64 {
 		}
 	}
 	return sum
-}
-
-// JSON encodes the metrics as indented JSON.
-func (m *Metrics) JSON() ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
-}
-
-// String renders an aligned human-readable table: phases in recording
-// order, counters sorted by name.
-func (m *Metrics) String() string {
-	var sb strings.Builder
-	for _, p := range m.Phases {
-		fmt.Fprintf(&sb, "phase %-12s %12.3fms\n", p.Name, float64(p.Wall)/1e6)
-	}
-	cs := append([]Counter(nil), m.Counters...)
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name })
-	for _, c := range cs {
-		fmt.Fprintf(&sb, "%-40s %12d\n", c.Name, c.Value)
-	}
-	return sb.String()
 }

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"msc/internal/telemetry"
 )
 
 func TestRecorderCounterAggregation(t *testing.T) {
@@ -40,6 +40,22 @@ func TestRecorderCounterAggregation(t *testing.T) {
 	if m.Counter("a") != 5 {
 		t.Errorf("Metrics.Counter(a) = %d, want 5", m.Counter("a"))
 	}
+
+	// Recorders adding to one registry repeat each counter's operation:
+	// Add sums, Set keeps the last value, Max keeps the peak.
+	reg := telemetry.NewRegistry()
+	for _, v := range []int64{3, 1} {
+		r := NewRecorder()
+		r.Add("sum", v)
+		r.Set("last", v)
+		r.Max("peak", v)
+		r.AddTo(reg)
+	}
+	for name, want := range map[string]int64{"sum": 4, "last": 1, "peak": 3} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("registry %s = %d, want %d", name, got, want)
+		}
+	}
 }
 
 func TestRecorderPhases(t *testing.T) {
@@ -64,9 +80,11 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.Max("x", 1)
 	r.AddPhase("p", time.Second)
 	r.Phase("p")()
-	r.Publish("obs_test_nil")
-	if r.Value("x") != 0 || r.PhaseWall("p") != 0 {
-		t.Error("nil recorder returned non-zero values")
+	reg := telemetry.NewRegistry()
+	r.AddTo(reg)
+	NewRecorder().AddTo(nil)
+	if r.Value("x") != 0 || r.PhaseWall("p") != 0 || len(reg.Snapshot()) != 0 {
+		t.Error("nil recorder returned or added non-zero values")
 	}
 	if m := r.Snapshot(); len(m.Counters) != 0 || len(m.Phases) != 0 {
 		t.Error("nil recorder snapshot not empty")
@@ -92,40 +110,5 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if got := r.Value("hw"); got != 999 {
 		t.Errorf("hw = %d, want 999", got)
-	}
-}
-
-func TestMetricsJSONRoundTrip(t *testing.T) {
-	r := NewRecorder()
-	r.Add(CounterTokens, 42)
-	r.AddPhase(PhaseParse, 5*time.Millisecond)
-	b, err := r.Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Metrics
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Counter(CounterTokens) != 42 {
-		t.Errorf("round-tripped tokens = %d, want 42", m.Counter(CounterTokens))
-	}
-	if len(m.Phases) != 1 || m.Phases[0].Wall != 5*time.Millisecond {
-		t.Errorf("round-tripped phases = %v", m.Phases)
-	}
-}
-
-func TestMetricsString(t *testing.T) {
-	r := NewRecorder()
-	r.Add("z.last", 1)
-	r.Add("a.first", 2)
-	r.AddPhase("parse", time.Millisecond)
-	s := r.Snapshot().String()
-	if !strings.Contains(s, "phase parse") {
-		t.Errorf("missing phase line:\n%s", s)
-	}
-	// Counters are sorted by name in text form.
-	if strings.Index(s, "a.first") > strings.Index(s, "z.last") {
-		t.Errorf("counters not sorted:\n%s", s)
 	}
 }

@@ -9,9 +9,9 @@
 // The package is standard library only (plus the leaf internal/ir for
 // source positions) so every internal package may depend on it. All
 // hot-path mutators are safe on nil receivers: disabled telemetry costs
-// one nil check per call site and nothing else. internal/obs layers its
-// Recorder on top of the Registry, so compile metrics, /metrics
-// exposition, and mscbench reports all read from one source of truth.
+// one nil check per call site and nothing else. Each compile's
+// obs.Recorder adds its phase walls and counters to a Registry when the
+// compile ends, so /metrics exposes what Compiled.Stats reports.
 package telemetry
 
 import (
@@ -50,9 +50,9 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonic int64 with atomic updates. The Set and Max
-// mutators exist for migration of the obs.Recorder semantics (absolute
-// counters and high-water marks); Prometheus exposition still reports
-// the metric as a counter. All methods no-op on a nil receiver.
+// mutators carry the obs.Recorder semantics (absolute counters and
+// high-water marks); Prometheus exposition still reports the metric as
+// a counter. All methods no-op on a nil receiver.
 type Counter struct{ v atomic.Int64 }
 
 // Add adds delta.

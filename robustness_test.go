@@ -250,10 +250,10 @@ func TestDegradeLadder(t *testing.T) {
 		Times: 1,
 	})
 	defer deactivate()
-	rec := obs.NewRecorder()
+	reg := telemetry.NewRegistry()
 	src := readSource(t, "testdata/vet/barriers.mc")
 	c, err := msc.Compile(src, msc.Config{
-		Compress: true, BarrierExact: true, Degrade: true, Metrics: rec,
+		Compress: true, BarrierExact: true, Degrade: true, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("degraded compile failed: %v", err)
@@ -268,12 +268,11 @@ func TestDegradeLadder(t *testing.T) {
 	if c.Config.BarrierExact {
 		t.Fatal("Compiled.Config still claims barrier-exact after degrading")
 	}
-	m := rec.Snapshot()
-	if got := m.Counter(obs.CounterDegradeSteps); got != 1 {
+	if got := reg.Counter(obs.CounterDegradeSteps, "").Value(); got != 1 {
 		t.Errorf("degrade.steps = %d, want 1", got)
 	}
-	if got := m.PrefixSum(obs.BudgetCounterPrefix); got != 1 {
-		t.Errorf("budget.* sum = %d, want 1", got)
+	if got := reg.Counter(obs.BudgetCounterPrefix+d.Resource, "").Value(); got != 1 {
+		t.Errorf("budget.%s = %d, want 1", d.Resource, got)
 	}
 	if c.Stats.DegradeSteps != 1 || c.Stats.BudgetOverruns != 1 {
 		t.Errorf("stats degrade=%d overruns=%d, want 1/1", c.Stats.DegradeSteps, c.Stats.BudgetOverruns)

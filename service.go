@@ -54,10 +54,11 @@ type ServiceConfig struct {
 	Registry *telemetry.Registry
 	// Cache, when non-nil, fronts every request's compile with the
 	// artifact cache (Config.Cache semantics: content-addressed store,
-	// single-flight dedup, graceful degradation). The cache.* counters
-	// land on /metrics through the shared recorder and a snapshot is
-	// reported on /statusz. Draining interacts safely: flights belong to
-	// in-flight requests, so Drain's wait drains the flight table too.
+	// single-flight dedup, graceful degradation). Each request's cache.*
+	// counters land on /metrics with its compile counters, and a
+	// snapshot is reported on /statusz. Draining interacts safely:
+	// flights belong to in-flight requests, so Drain's wait drains the
+	// flight table too.
 	Cache *Cache
 }
 
@@ -84,7 +85,6 @@ func (sc *ServiceConfig) fill() {
 // mount it on a mux. All methods are safe for concurrent use.
 type CompileService struct {
 	cfg ServiceConfig
-	rec *obs.Recorder // shared across requests; backs the registry
 	mux *http.ServeMux
 
 	sem     chan struct{} // worker slots
@@ -114,7 +114,6 @@ func NewCompileService(cfg ServiceConfig) *CompileService {
 	killCtx, killCancel := context.WithCancel(context.Background())
 	s := &CompileService{
 		cfg:        cfg,
-		rec:        obs.NewRecorderIn(cfg.Registry),
 		sem:        make(chan struct{}, cfg.Workers),
 		drainCh:    make(chan struct{}),
 		killCtx:    killCtx,
@@ -460,7 +459,7 @@ func (s *CompileService) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, err := s.compileOne(ctx, &req, conf)
+	resp, err := s.compileOne(ctx, &req, conf, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Client is gone; the write would be wasted. Count it as a
@@ -522,7 +521,7 @@ func (s *CompileService) requestConfig(req *CompileRequest, r *http.Request) (Co
 		conf.Limits.MaxMemBytes = clampLimit(conf.Limits.MaxMemBytes, ceil.MaxMemBytes)
 	}
 	conf.Degrade = r.URL.Query().Get("degrade") == "1"
-	conf.Metrics = s.rec
+	conf.Metrics = s.cfg.Registry
 	conf.Cache = s.cfg.Cache
 	if err := conf.Validate(); err != nil {
 		return Config{}, err
@@ -558,8 +557,9 @@ func clampLimit[T int | int64 | time.Duration](v, c T) T {
 }
 
 // compileOne runs one request through the pipeline (and the optional
-// engine run) and shapes the response.
-func (s *CompileService) compileOne(ctx context.Context, req *CompileRequest, conf Config) (*CompileResponse, error) {
+// engine run) and shapes the response. sink, when non-nil, receives the
+// SIMD engine's typed trace events (the streaming path).
+func (s *CompileService) compileOne(ctx context.Context, req *CompileRequest, conf Config, sink obs.Sink) (*CompileResponse, error) {
 	c, err := CompileContext(ctx, req.Source, conf)
 	if err != nil {
 		return nil, err
@@ -580,7 +580,7 @@ func (s *CompileService) compileOne(ctx context.Context, req *CompileRequest, co
 		}
 	}
 	if req.Run != nil {
-		rr, err := s.runOne(ctx, c, req.Run, conf.Limits.Deadline, nil)
+		rr, err := s.runOne(ctx, c, req.Run, conf.Limits.Deadline, sink)
 		if err != nil {
 			return nil, err
 		}
@@ -620,7 +620,7 @@ func (s *CompileService) runOne(ctx context.Context, c *Compiled, wr *WireRun, d
 	defer cancel()
 	runErr := func(err error) error {
 		if ownDeadline && errors.Is(err, context.DeadlineExceeded) {
-			s.rec.Add(obs.BudgetCounterPrefix+"wall_clock", 1)
+			s.cfg.Registry.Counter(obs.BudgetCounterPrefix+"wall_clock", "").Add(1)
 			return wallClockOverrun("run", deadline, start)
 		}
 		return err
@@ -726,29 +726,8 @@ func (s *CompileService) compileStreaming(ctx context.Context, w http.ResponseWr
 	tracer.Exporter = exporter
 	conf.Tracer = tracer
 
-	c, err := CompileContext(ctx, req.Source, conf)
-	var resp *CompileResponse
-	if err == nil {
-		resp = &CompileResponse{
-			MetaStates:   c.MetaStates(),
-			MIMDStates:   c.MIMDStates(),
-			Stats:        c.Stats,
-			Diagnostics:  c.Diagnostics,
-			Degradations: c.Degradations,
-		}
-		for _, e := range req.Emit {
-			switch e {
-			case "mpl":
-				resp.MPL = c.MPL()
-			case "dot":
-				resp.Dot = c.DotAutomaton("automaton")
-			}
-		}
-		if req.Run != nil {
-			sink := obs.NewSyncSink(&obs.JSONLSink{W: &envelopeWriter{out: out, key: "event"}})
-			resp.Run, err = s.runOne(ctx, c, req.Run, conf.Limits.Deadline, sink)
-		}
-	}
+	sink := obs.NewSyncSink(&obs.JSONLSink{W: &envelopeWriter{out: out, key: "event"}})
+	resp, err := s.compileOne(ctx, req, conf, sink)
 	// Flush every span the compile produced before the final envelope,
 	// so "done"/"fail" is genuinely the last line.
 	exporter.Close()

@@ -364,24 +364,34 @@ func freshHash(entries []simd.DispatchEntry) (h *simd.HashFn, tried int, searche
 	return h, tried, true
 }
 
-// TestExplodeAllocations pins the allocations of one uncompressed,
-// hashed SeqLoops(5) compile (1,024 meta states). Sharing sets instead
-// of cloning them, and sizing each transition list once, took it from
-// about 82,000 to about 13,000; the bound is about 1.2 times that.
+// TestExplodeAllocations pins the allocations of two compiles. One is
+// an uncompressed, hashed SeqLoops(5) (1,024 meta states): sharing sets
+// instead of cloning them, and sizing each transition list once, took
+// it from about 82,000 to about 13,000, and its bound is about 1.2
+// times that. The other is divergent at DefaultConfig: a recorder of
+// plain values in place of a private registry per compile took it from
+// 551 to 438, and its bound is about 1.1 times that.
 func TestExplodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const bound = 15700
-	src := harness.SeqLoops(5, false)
-	conf := msc.Config{Hash: true, ConvertWorkers: 1}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := msc.Compile(src, conf); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		src   string
+		conf  msc.Config
+		bound float64
+	}{
+		{"SeqLoops(5)", harness.SeqLoops(5, false), msc.Config{Hash: true, ConvertWorkers: 1}, 15700},
+		{"divergent", harness.Divergent, msc.DefaultConfig(), 480},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := msc.Compile(tc.src, tc.conf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.bound {
+			t.Errorf("%s compile made %.0f allocations, bound %.0f", tc.name, allocs, tc.bound)
 		}
-	})
-	if allocs > bound {
-		t.Fatalf("SeqLoops(5) compile made %.0f allocations, bound %d", allocs, bound)
+		t.Logf("%s: %.0f allocations (bound %.0f)", tc.name, allocs, tc.bound)
 	}
-	t.Logf("%.0f allocations (bound %d)", allocs, bound)
 }

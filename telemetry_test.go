@@ -227,14 +227,16 @@ func TestCSISlotPositions(t *testing.T) {
 
 // TestCompileHistograms checks the registry-side telemetry: compiling
 // lands latency and meta-state observations, running lands engine
-// cycles, and the whole registry serves as valid Prometheus text.
+// cycles, and the whole registry serves as valid Prometheus text. The
+// registry is the compile's one recording: it holds exactly the phase
+// walls and counters Compiled.Stats reports, and a second compile adds
+// to the Add counters, replaces the Set ones and raises the Max one.
 func TestCompileHistograms(t *testing.T) {
-	rec := obs.NewRecorder()
-	c, err := msc.Compile(harness.Divergent, msc.Config{Compress: true, Metrics: rec})
+	reg := telemetry.NewRegistry()
+	c, err := msc.Compile(harness.Stencil, msc.Config{Compress: true, ConvertWorkers: 3, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := rec.Registry()
 	if _, err := c.RunSIMD(msc.RunConfig{N: 4, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
@@ -260,4 +262,72 @@ func TestCompileHistograms(t *testing.T) {
 			t.Fatalf("invalid exposition line: %v", err)
 		}
 	}
+
+	value := func(name string) int64 { return reg.Counter(name, "").Value() }
+	first := c.Stats
+	for _, p := range first.PhaseWall {
+		if got := value(obs.PhaseMetricPrefix + p.Name); got != int64(p.Wall) {
+			t.Errorf("%s%s = %d ns, Stats.PhaseWall says %d", obs.PhaseMetricPrefix, p.Name, got, int64(p.Wall))
+		}
+	}
+	for name, field := range statsFields {
+		if got, want := value(name), field(first); got != want {
+			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
+	}
+
+	c2, err := msc.Compile(harness.Primes, msc.Config{Compress: true, ConvertWorkers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := c2.Stats
+	if first.MetaStates <= second.MetaStates || first.WorklistHighWater <= second.WorklistHighWater {
+		t.Fatalf("the second program must have fewer meta states and a lower worklist peak: %+v vs %+v", first, second)
+	}
+	lastValue := map[string]int64{
+		obs.CounterMetaStates:   second.MetaStates,
+		obs.CounterMIMDStates:   second.MIMDStates,
+		obs.CounterWorklistHigh: first.WorklistHighWater,
+	}
+	for name, field := range statsFields {
+		want, ok := lastValue[name]
+		if !ok {
+			want = field(first) + field(second)
+		}
+		if got := value(name); got != want {
+			t.Errorf("after two compiles %s = %d, want %d", name, got, want)
+		}
+	}
+	if got := value(obs.CounterConvertWorkers); got != 2 {
+		t.Errorf("after two compiles %s = %d, want 2", obs.CounterConvertWorkers, got)
+	}
+}
+
+// statsFields maps each well-known counter to its CompileStats field.
+var statsFields = map[string]func(*msc.CompileStats) int64{
+	obs.CounterTokens:            func(s *msc.CompileStats) int64 { return s.TokensParsed },
+	obs.CounterBlocksBefore:      func(s *msc.CompileStats) int64 { return s.BlocksBeforeSimplify },
+	obs.CounterBlocksAfter:       func(s *msc.CompileStats) int64 { return s.BlocksAfterSimplify },
+	obs.CounterMetaStates:        func(s *msc.CompileStats) int64 { return s.MetaStates },
+	obs.CounterMIMDStates:        func(s *msc.CompileStats) int64 { return s.MIMDStates },
+	obs.CounterMetaExplored:      func(s *msc.CompileStats) int64 { return s.MetaExplored },
+	obs.CounterMetaMerged:        func(s *msc.CompileStats) int64 { return s.MetaMerged },
+	obs.CounterMetaFiltered:      func(s *msc.CompileStats) int64 { return s.AggregatesFiltered },
+	obs.CounterWorklistHigh:      func(s *msc.CompileStats) int64 { return s.WorklistHighWater },
+	obs.CounterSplits:            func(s *msc.CompileStats) int64 { return s.TimeSplits },
+	obs.CounterRestarts:          func(s *msc.CompileStats) int64 { return s.Restarts },
+	obs.CounterCSISavedCycles:    func(s *msc.CompileStats) int64 { return s.CSISavedCycles },
+	obs.CounterCSISlotsSaved:     func(s *msc.CompileStats) int64 { return s.CSISlotsSaved },
+	obs.CounterHashTried:         func(s *msc.CompileStats) int64 { return s.HashCandidatesTried },
+	obs.CounterHashTables:        func(s *msc.CompileStats) int64 { return s.HashTablesBuilt },
+	obs.CounterDispatchEntries:   func(s *msc.CompileStats) int64 { return s.DispatchEntries },
+	obs.CounterOptConstFolds:     func(s *msc.CompileStats) int64 { return s.OptConstFolds },
+	obs.CounterOptDeadStores:     func(s *msc.CompileStats) int64 { return s.OptDeadStores },
+	obs.CounterOptBranchesPruned: func(s *msc.CompileStats) int64 { return s.OptBranchesPruned },
+	obs.CounterOptCopiesProp:     func(s *msc.CompileStats) int64 { return s.OptCopiesPropagated },
+	obs.CounterOptRounds:         func(s *msc.CompileStats) int64 { return s.OptRounds },
+	obs.CounterVetDiags:          func(s *msc.CompileStats) int64 { return s.VetDiagnostics },
+	obs.CounterVetErrors:         func(s *msc.CompileStats) int64 { return s.VetErrors },
+	obs.CounterVetWarnings:       func(s *msc.CompileStats) int64 { return s.VetWarnings },
+	obs.CounterDegradeSteps:      func(s *msc.CompileStats) int64 { return s.DegradeSteps },
 }
