@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -63,10 +62,10 @@ type (
 	CacheError     = mscerr.CacheError
 )
 
-// WidthLimitError reports a RunConfig observability feature (Timeline,
-// Sink, Strict) requested above the width the SIMD engine supports it
-// at (simd.ObsWidthCap): each is O(N) per meta state, so mega-width
-// runs must go without. Match with errors.As.
+// WidthLimitError reports a RunConfig.Sink that reads per-PE timeline
+// rows (obs.ReadsRows) attached above the width the SIMD engine
+// supports them at (simd.ObsWidthCap): a row is O(N) per meta state, so
+// mega-width runs must go without. Match with errors.As.
 type WidthLimitError = simd.WidthLimitError
 
 // DefaultMaxSteps is the default engine step budget (RunConfig.MaxSteps
@@ -804,16 +803,13 @@ type RunConfig struct {
 	// byte-identical at any setting — chunks commit in ID order — so
 	// this only trades wall time for cores. Other engines ignore it.
 	Workers int
-	// Trace, when non-nil, receives one line per meta-state execution
-	// (SIMD engine only). Timeline, when non-nil, receives a per-PE
-	// occupancy row per meta-state execution. Timeline and Sink carry
-	// O(N) payloads per meta state and are refused above
-	// simd.ObsWidthCap with a *WidthLimitError.
-	Trace    io.Writer
-	Timeline io.Writer
-	// Sink, when non-nil, receives the same execution events as Trace
-	// and Timeline in typed form (SIMD engine only); use obs.JSONLSink
-	// for machine-readable traces or any custom obs.Sink.
+	// Sink, when non-nil, receives the SIMD engine's execution events:
+	// obs.TextSink renders the text trace (one line per meta state),
+	// the per-PE timeline or both, obs.JSONLSink writes them as JSON
+	// lines, and any custom obs.Sink may consume them. A sink that reads
+	// the O(N) per-PE timeline rows (obs.ReadsRows) is refused above
+	// simd.ObsWidthCap with a *WidthLimitError; a text trace alone runs
+	// at any width.
 	Sink obs.Sink
 	// MaxSteps bounds the engine's step count (meta-state executions on
 	// the SIMD machine, per-PE blocks on the MIMD reference machine,
@@ -872,8 +868,7 @@ func (c *Compiled) RunSIMDContext(ctx context.Context, rc RunConfig) (*simd.Resu
 	span := rc.Tracer.StartSpan("run.simd", rc.TraceParent, telemetry.Int("n", int64(rc.N)))
 	res, err := simd.Run(c.Program, simd.Config{
 		N: rc.N, InitialActive: rc.InitialActive, Workers: rc.Workers,
-		Trace: rc.Trace, Timeline: rc.Timeline, Sink: rc.Sink,
-		MaxMeta: rc.MaxSteps, Ctx: ctx, Profiler: rc.Profiler,
+		Sink: rc.Sink, MaxMeta: rc.MaxSteps, Ctx: ctx, Profiler: rc.Profiler,
 	})
 	if res != nil {
 		finishRun(span, rc, "simd", res.Time)

@@ -77,10 +77,15 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		// API errors already carry the "msc: " prefix; don't double it.
-		fmt.Fprintln(os.Stderr, "msc:", strings.TrimPrefix(err.Error(), "msc: "))
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failure as the line main prints. API errors
+// already carry the "msc: " prefix; don't double it.
+func errorLine(err error) string {
+	return "msc: " + strings.TrimPrefix(err.Error(), "msc: ")
 }
 
 // convFlags registers the conversion-option flags on fs and returns a
@@ -384,11 +389,15 @@ func writeProfile(w io.Writer, c *msc.Compiled, res *simd.Result, top int) error
 
 func execute(stdout, stderr io.Writer, c *msc.Compiled, engine string, n, active, maxSteps int, trace, timeline bool) error {
 	rc := msc.RunConfig{N: n, InitialActive: active, MaxSteps: maxSteps}
-	if trace {
-		rc.Trace = stderr
-	}
-	if timeline {
-		rc.Timeline = stderr
+	if trace || timeline {
+		ts := &obs.TextSink{}
+		if trace {
+			ts.Trace = stderr
+		}
+		if timeline {
+			ts.Timeline = stderr
+		}
+		rc.Sink = ts
 	}
 	switch engine {
 	case "simd":

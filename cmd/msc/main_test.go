@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"msc/internal/simd"
 )
 
 func writeProg(t *testing.T, src string) string {
@@ -96,6 +99,52 @@ func TestCLITrace(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "apc=") {
 		t.Errorf("trace output missing:\n%s", errOut)
+	}
+}
+
+// TestCLIWideTrace pins the width rule at the CLI: the text trace has
+// no per-PE payload and runs one PE above simd.ObsWidthCap, while the
+// timeline reads per-PE rows and is refused there with one line.
+func TestCLIWideTrace(t *testing.T) {
+	path := writeProg(t, cliProg)
+	wide := strconv.Itoa(simd.ObsWidthCap + 1)
+	_, errOut, err := runCLI(t, "-run", "-trace", "-n", wide, path)
+	if err != nil {
+		t.Fatalf("-trace -n %s: %v", wide, err)
+	}
+	if !strings.Contains(errOut, "-> exit") {
+		t.Errorf("-trace -n %s: trace output missing:\n%s", wide, errOut)
+	}
+	_, _, err = runCLI(t, "-run", "-timeline", "-n", wide, path)
+	if err == nil {
+		t.Fatalf("-timeline -n %s accepted", wide)
+	}
+	line := errorLine(err)
+	if strings.Contains(line, "\n") || strings.Count(line, "msc:") != 1 ||
+		!strings.Contains(line, strconv.Itoa(simd.ObsWidthCap)) {
+		t.Errorf("-timeline -n %s: want one msc:-prefixed line naming the %d cap, got %q", wide, simd.ObsWidthCap, line)
+	}
+}
+
+// TestCLITraceAndTimeline attaches both text views to one run: each
+// meta state writes its timeline row at entry and its trace line after
+// dispatch, so the two alternate on stderr.
+func TestCLITraceAndTimeline(t *testing.T) {
+	path := writeProg(t, cliProg)
+	_, errOut, err := runCLI(t, "-run", "-n", "4", "-trace", "-timeline", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(errOut, "\n"), "\n")
+	if len(lines) < 2 || len(lines)%2 != 0 {
+		t.Fatalf("want timeline rows and trace lines in pairs, got %d lines:\n%s", len(lines), errOut)
+	}
+	for i, line := range lines {
+		row := strings.HasSuffix(line, " |")
+		trace := strings.Contains(line, " -> ")
+		if i%2 == 0 && !row || i%2 == 1 && !trace {
+			t.Fatalf("line %d out of place:\n%s", i+1, errOut)
+		}
 	}
 }
 

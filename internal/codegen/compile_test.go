@@ -8,6 +8,7 @@ import (
 	"msc/internal/cfg"
 	"msc/internal/mimdsim"
 	"msc/internal/msc"
+	"msc/internal/obs"
 	"msc/internal/progen"
 	"msc/internal/simd"
 )
@@ -77,6 +78,58 @@ var modes = []struct {
 	}, Options{}},
 }
 
+// coverSink fails a run when a live PE occupies a MIMD state that its
+// meta state's set does not cover: the §2.3 invariant the conversion
+// guarantees. Barrier waiters arrive as obs.PEWait, so it skips them.
+type coverSink struct{ p *simd.Program }
+
+func (s coverSink) Emit(e *obs.Event) error {
+	if e.Kind != obs.EventTimeline {
+		return nil
+	}
+	set := s.p.Meta[e.Meta].Set
+	for pe, st := range e.PEs {
+		if st >= 0 && !set.Has(st) {
+			return fmt.Errorf("ms%d %s: PE %d occupies uncovered state %d (conversion bug)", e.Meta, set, pe, st)
+		}
+	}
+	return nil
+}
+
+// TestCoverSinkFires breaks the covering invariant on purpose: with one
+// member dropped from a visited meta state's set, the PEs in that
+// state are uncovered and the run must fail.
+func TestCoverSinkFires(t *testing.T) {
+	a, err := msc.Convert(buildGraph(t, listing1Run), msc.DefaultOptions(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := MustCompile(a, Options{})
+	res, err := simd.Run(p, simd.Config{N: 7, Sink: coverSink{p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := -1
+	for id, st := range res.MetaStats {
+		if id != p.Start && st.Visits > 0 {
+			ms = id
+			break
+		}
+	}
+	if ms < 0 {
+		t.Fatal("no meta state besides the start was visited")
+	}
+	// The set is shared with the automaton, so drop the member from a
+	// clone.
+	set := p.Meta[ms].Set.Clone()
+	set.Remove(set.Min())
+	p.Meta[ms].Set = set
+	_, err = simd.Run(p, simd.Config{N: 7, Sink: coverSink{p}})
+	if err == nil || !strings.Contains(err.Error(), "uncovered state") {
+		t.Fatalf("ms%d narrowed to %s: got %v, want an uncovered-state failure", ms, set, err)
+	}
+}
+
 // checkEquivalence runs src on the MIMD reference machine and on the
 // SIMD machine under every mode, and requires bit-identical memory.
 // initialActive == 0 means all PEs start in main.
@@ -113,7 +166,7 @@ func checkEquivalence(t *testing.T, name, src string, n int, initialActive ...in
 		if err != nil {
 			t.Fatalf("%s/%s: compile: %v", name, m.name, err)
 		}
-		res, err := simd.Run(p, simd.Config{N: n, InitialActive: ia, Strict: true})
+		res, err := simd.Run(p, simd.Config{N: n, InitialActive: ia, Sink: coverSink{p}})
 		if err != nil {
 			t.Fatalf("%s/%s: simd run: %v\n%s", name, m.name, err, a)
 		}
@@ -342,7 +395,7 @@ void main()
 			t.Fatal("hash attached despite superset dispatch")
 		}
 	}
-	res, err := simd.Run(p, simd.Config{N: 6, Strict: true})
+	res, err := simd.Run(p, simd.Config{N: 6, Sink: coverSink{p}})
 	if err != nil {
 		t.Fatal(err)
 	}

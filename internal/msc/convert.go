@@ -368,47 +368,36 @@ func (c *converter) convertOnce() (a *Automaton, didSplit bool, err error) {
 		gspan := c.opt.Trace.StartSpan("convert.generation", c.opt.TraceParent,
 			telemetry.Int("gen", int64(gen)), telemetry.Int("frontier", int64(len(frontier))))
 
+		var results []expansion
 		if c.opt.Workers > 1 && len(frontier) >= parallelFrontierMin {
-			results := c.expandParallel(frontier, gspan)
-			for i, ms := range frontier {
-				if err := c.checkCtx(); err != nil {
+			results = c.expandParallel(frontier, gspan)
+		}
+		for i, ms := range frontier {
+			if err := c.checkCtx(); err != nil {
+				gspan.End()
+				return nil, false, err
+			}
+			c.curIdx = genStart + i
+			if c.opt.TimeSplit {
+				if changed := timeSplitState(c.g, ms.Set, c.opt); len(changed) > 0 {
+					c.memo.invalidate(changed)
+					gspan.Event("restart", telemetry.Int("split_blocks", int64(len(changed))))
 					gspan.End()
-					return nil, false, err
-				}
-				c.curIdx = genStart + i
-				if c.opt.TimeSplit {
-					if changed := timeSplitState(c.g, ms.Set, c.opt); len(changed) > 0 {
-						c.memo.invalidate(changed)
-						gspan.Event("restart", telemetry.Int("split_blocks", int64(len(changed))))
-						gspan.End()
-						return nil, true, nil
-					}
-				}
-				if err := c.commit(ms, results[i]); err != nil {
-					gspan.End()
-					return nil, false, err
+					return nil, true, nil
 				}
 			}
-		} else {
-			e := c.exps[0]
-			for i, ms := range frontier {
-				if err := c.checkCtx(); err != nil {
-					gspan.End()
-					return nil, false, err
-				}
-				c.curIdx = genStart + i
-				if c.opt.TimeSplit {
-					if changed := timeSplitState(c.g, ms.Set, c.opt); len(changed) > 0 {
-						c.memo.invalidate(changed)
-						gspan.Event("restart", telemetry.Int("split_blocks", int64(len(changed))))
-						gspan.End()
-						return nil, true, nil
-					}
-				}
-				if err := c.commit(ms, e.expand(ms.Set)); err != nil {
-					gspan.End()
-					return nil, false, err
-				}
+			// Without workers, expand here, after the split check:
+			// commit retires each expansion's sets to the pool before
+			// the next expansion draws from it.
+			var exp expansion
+			if results != nil {
+				exp = results[i]
+			} else {
+				exp = c.exps[0].expand(ms.Set)
+			}
+			if err := c.commit(ms, exp); err != nil {
+				gspan.End()
+				return nil, false, err
 			}
 		}
 		gspan.SetAttr(telemetry.Int("new_states", int64(len(a.States)-genEnd)))

@@ -70,7 +70,7 @@ type Event struct {
 // Sink consumes trace events.
 //
 // Concurrency contract: the engines emit from a single VM goroutine, so
-// the sinks in this package (TextSink, JSONLSink, MultiSink) are NOT
+// the sinks in this package (TextSink, JSONLSink) are NOT
 // concurrency-safe — unsynchronized Emit calls from multiple goroutines
 // race on the underlying writers. A sink shared across goroutines (for
 // example, one stream collecting several engine runs) must be wrapped
@@ -108,6 +108,21 @@ func (s *SyncSink) Emit(e *Event) error {
 type TextSink struct {
 	Trace    io.Writer
 	Timeline io.Writer
+}
+
+// ReadsRows reports whether s reads EventTimeline rows: false for a nil
+// sink and for a TextSink with no Timeline writer, true for every other
+// sink. A row is O(N) in the machine width, so an engine builds rows
+// only for a sink that reads them and refuses such a sink on a machine
+// too wide for them.
+func ReadsRows(s Sink) bool {
+	if s == nil {
+		return false
+	}
+	if ts, ok := s.(*TextSink); ok {
+		return ts.Timeline != nil
+	}
+	return true
 }
 
 // Emit writes the event in legacy text form.
@@ -193,18 +208,4 @@ func (s *JSONLSink) Emit(e *Event) error {
 	b = append(b, '\n')
 	_, err = s.W.Write(b)
 	return err
-}
-
-// MultiSink fans every event out to each sink in order, stopping at the
-// first error.
-type MultiSink []Sink
-
-// Emit forwards the event to every sink.
-func (m MultiSink) Emit(e *Event) error {
-	for _, s := range m {
-		if err := s.Emit(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

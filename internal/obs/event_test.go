@@ -103,24 +103,33 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-func TestMultiSink(t *testing.T) {
-	var a, b bytes.Buffer
-	m := MultiSink{&JSONLSink{W: &a}, &JSONLSink{W: &b}}
-	if err := m.Emit(&Event{Kind: EventExit, Meta: 1, Set: "{0}"}); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() == "" || a.String() != b.String() {
-		t.Errorf("multi sink outputs differ: %q vs %q", a.String(), b.String())
+func TestReadsRows(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    Sink
+		want bool
+	}{
+		{"nil", nil, false},
+		{"text trace", &TextSink{Trace: io.Discard}, false},
+		{"empty text", &TextSink{}, false},
+		{"text timeline", &TextSink{Timeline: io.Discard}, true},
+		{"text both", &TextSink{Trace: io.Discard, Timeline: io.Discard}, true},
+		{"jsonl", &JSONLSink{W: io.Discard}, true},
+		{"sync text trace", NewSyncSink(&TextSink{Trace: io.Discard}), true},
+	} {
+		if got := ReadsRows(c.s); got != c.want {
+			t.Errorf("ReadsRows(%s) = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
-// TestSyncSinkConcurrent shares one sink chain across goroutines the
-// way a multi-engine run would, under the race detector (make check
-// runs this package with -race): every event must land as a whole
-// line, never interleaved mid-write.
+// TestSyncSinkConcurrent shares one sink across goroutines the way a
+// multi-engine run would, under the race detector (make check runs
+// this package with -race): every event must land as a whole line,
+// never interleaved mid-write.
 func TestSyncSinkConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSyncSink(MultiSink{&JSONLSink{W: &buf}, &TextSink{Trace: io.Discard}})
+	s := NewSyncSink(&JSONLSink{W: &buf})
 	var wg sync.WaitGroup
 	const workers, events = 8, 50
 	for w := 0; w < workers; w++ {

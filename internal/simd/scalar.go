@@ -30,7 +30,6 @@ type refVM struct {
 	mem  [][]ir.Word
 	pes  []refPE
 	res  *Result
-	sink obs.Sink            // nil when no tracing is attached
 	prof *telemetry.Profiler // nil when no profiling is attached
 }
 
@@ -39,7 +38,7 @@ type refVM struct {
 // Workers (the reference is always sequential) and exists for
 // differential testing and benchmarking against the vectorized engine.
 func ReferenceRun(p *Program, conf Config) (*Result, error) {
-	conf, entry, err := prepare(p, conf)
+	conf, entry, rows, err := prepare(p, conf)
 	if err != nil {
 		return nil, err
 	}
@@ -55,9 +54,7 @@ func ReferenceRun(p *Program, conf Config) (*Result, error) {
 			PEHist:    make([]int64, PEHistLen(conf.N)),
 		},
 	}
-	m.sink = traceSink(conf)
 	m.prof = conf.Profiler
-	emitTL := conf.Timeline != nil || conf.Sink != nil
 	for i := range m.pes {
 		m.mem[i] = make([]ir.Word, p.Words)
 		if i < conf.InitialActive {
@@ -80,17 +77,9 @@ func ReferenceRun(p *Program, conf Config) (*Result, error) {
 		mc := p.Meta[cur]
 		m.res.MetaExecs++
 		m.res.MetaStats[cur].Visits++
-		if m.sink != nil && emitTL {
-			if err := m.sink.Emit(m.timelineEvent(int64(step), cur)); err != nil {
+		if rows {
+			if err := conf.Sink.Emit(m.timelineEvent(int64(step), cur)); err != nil {
 				return nil, fmt.Errorf("simd: trace sink: %w", err)
-			}
-		}
-		if conf.Strict {
-			for i := range m.pes {
-				if pc := m.pes[i].pc; pc >= 0 && !mc.Set.Has(pc) && !p.Barriers.Has(pc) {
-					return nil, fmt.Errorf("simd: ms%d %s: PE %d occupies uncovered state %d (conversion bug)",
-						cur, mc.Set, i, pc)
-				}
 			}
 		}
 		if err := m.execBody(mc); err != nil {
@@ -100,7 +89,7 @@ func ReferenceRun(p *Program, conf Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("simd: ms%d: %w", cur, err)
 		}
-		if m.sink != nil {
+		if conf.Sink != nil {
 			e := &obs.Event{
 				Step: int64(step), Cycle: m.res.Time,
 				Meta: cur, Set: mc.Set.String(),
@@ -119,7 +108,7 @@ func ReferenceRun(p *Program, conf Config) (*Result, error) {
 				e.Live = live
 				e.Next = next
 			}
-			if err := m.sink.Emit(e); err != nil {
+			if err := conf.Sink.Emit(e); err != nil {
 				return nil, fmt.Errorf("simd: trace sink: %w", err)
 			}
 		}

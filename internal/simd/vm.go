@@ -3,7 +3,6 @@ package simd
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/bits"
 	"runtime"
 
@@ -66,29 +65,12 @@ type Config struct {
 	// cooperative cancellation; a canceled run returns ctx's error
 	// (matchable with errors.Is) with no state leaked.
 	Ctx context.Context
-	// Trace, when non-nil, receives one line per meta-state execution:
-	// the state, its live/enabled census, and the aggregate that chose
-	// the next state. It is shorthand for attaching an obs.TextSink.
-	// Trace carries no per-PE payload and works at any width.
-	Trace io.Writer
-	// Strict verifies the conversion's occupancy invariant before every
-	// meta state: each live PE's pc must be covered by the meta state's
-	// set or be waiting at a barrier. Used by the test suites. O(N) per
-	// meta state, so it is refused above ObsWidthCap with a
-	// *WidthLimitError.
-	Strict bool
-	// Timeline, when non-nil, receives one row per meta-state execution
-	// showing every PE's occupancy: its MIMD state number while active,
-	// 'w' while waiting at a barrier, '-' when done, '.' when idle.
-	// Shorthand for an obs.TextSink, like Trace. O(N) per meta state,
-	// refused above ObsWidthCap with a *WidthLimitError.
-	Timeline io.Writer
 	// Sink, when non-nil, receives the typed trace event stream
 	// (obs.EventTimeline at meta-state entry, obs.EventMeta/EventExit
-	// after dispatch). It composes with Trace/Timeline: the text
-	// writers are wrapped in an obs.TextSink and both receive every
-	// event. EventTimeline rows are O(N), so Sink is refused above
-	// ObsWidthCap with a *WidthLimitError.
+	// after dispatch); an obs.TextSink renders it as the text trace,
+	// the per-PE timeline or both. EventTimeline rows are O(N), so they
+	// are built only for a sink that reads them (obs.ReadsRows), and
+	// such a sink is refused above ObsWidthCap with a *WidthLimitError.
 	Sink obs.Sink
 	// Profiler, when non-nil, receives sampled cycle attribution: body
 	// slot cycles fold to (meta state, Slot.Block, Slot.Pos), dispatch
@@ -200,60 +182,36 @@ func (r *Result) WaitFraction() float64 {
 	return float64(r.LiveIdleCycles) / float64(total)
 }
 
-// traceSink assembles the event sink from the config: the legacy
-// Trace/Timeline writers become an obs.TextSink (byte-compatible with
-// the historical Fprintf output) and compose with an explicit Sink.
-func traceSink(conf Config) obs.Sink {
-	var sinks obs.MultiSink
-	if conf.Trace != nil || conf.Timeline != nil {
-		sinks = append(sinks, &obs.TextSink{Trace: conf.Trace, Timeline: conf.Timeline})
-	}
-	if conf.Sink != nil {
-		sinks = append(sinks, conf.Sink)
-	}
-	switch len(sinks) {
-	case 0:
-		return nil
-	case 1:
-		return sinks[0]
-	}
-	return sinks
-}
-
 // prepare validates a Config, applies defaults, and resolves the entry
-// MIMD state. Shared by Run and ReferenceRun so both engines accept and
-// reject exactly the same configurations with the same error text.
-func prepare(p *Program, conf Config) (Config, int, error) {
+// MIMD state. rows reports whether the sink reads the O(N)
+// EventTimeline rows, so the engine builds them only then. Shared by
+// Run and ReferenceRun so both engines accept and reject exactly the
+// same configurations with the same error text.
+func prepare(p *Program, conf Config) (_ Config, entry int, rows bool, _ error) {
 	if conf.N < 1 {
-		return conf, 0, fmt.Errorf("simd: N must be >= 1, got %d", conf.N)
+		return conf, 0, false, fmt.Errorf("simd: N must be >= 1, got %d", conf.N)
 	}
 	if conf.InitialActive == 0 {
 		conf.InitialActive = conf.N
 	}
 	if conf.InitialActive < 1 || conf.InitialActive > conf.N {
-		return conf, 0, fmt.Errorf("simd: InitialActive %d out of range [1,%d]", conf.InitialActive, conf.N)
+		return conf, 0, false, fmt.Errorf("simd: InitialActive %d out of range [1,%d]", conf.InitialActive, conf.N)
 	}
 	if conf.Workers < 0 {
-		return conf, 0, fmt.Errorf("simd: Workers must be >= 0, got %d", conf.Workers)
+		return conf, 0, false, fmt.Errorf("simd: Workers must be >= 0, got %d", conf.Workers)
 	}
 	if conf.MaxMeta == 0 {
 		conf.MaxMeta = mscerr.DefaultMaxSteps
 	}
 	start := p.Meta[p.Start]
 	if start.Set.Len() != 1 {
-		return conf, 0, fmt.Errorf("simd: start meta state %s is not a single MIMD state", start.Set)
+		return conf, 0, false, fmt.Errorf("simd: start meta state %s is not a single MIMD state", start.Set)
 	}
-	if conf.N > ObsWidthCap {
-		switch {
-		case conf.Timeline != nil:
-			return conf, 0, &WidthLimitError{Feature: "Timeline", N: conf.N, Cap: ObsWidthCap}
-		case conf.Sink != nil:
-			return conf, 0, &WidthLimitError{Feature: "Sink", N: conf.N, Cap: ObsWidthCap}
-		case conf.Strict:
-			return conf, 0, &WidthLimitError{Feature: "Strict", N: conf.N, Cap: ObsWidthCap}
-		}
+	rows = obs.ReadsRows(conf.Sink)
+	if rows && conf.N > ObsWidthCap {
+		return conf, 0, false, &WidthLimitError{N: conf.N, Cap: ObsWidthCap}
 	}
-	return conf, start.Set.Min(), nil
+	return conf, start.Set.Min(), rows, nil
 }
 
 // vm is the struct-of-arrays SIMD machine. PE state lives in flat
@@ -303,10 +261,8 @@ type vm struct {
 	wss    []*wscratch
 	pool   *chunkPool
 
-	res    *Result
-	sink   obs.Sink // nil when no tracing is attached
-	emitTL bool     // build O(N) timeline events only when someone reads them
-	prof   *telemetry.Profiler
+	res  *Result
+	prof *telemetry.Profiler
 }
 
 // retRows is how many return-stack entries per PE a chunk holds
@@ -436,8 +392,6 @@ func newVM(p *Program, conf Config, entry int, lay *layout) *vm {
 		m.pool = newChunkPool(m, workers)
 	}
 
-	m.sink = traceSink(conf)
-	m.emitTL = conf.Timeline != nil || conf.Sink != nil
 	m.prof = conf.Profiler
 	return m
 }
@@ -463,7 +417,7 @@ func (m *vm) chunkWords(c int) (int, int) {
 // program that breaks a rule the machine relies on (see Validate) is
 // refused with a *ProgramError before anything runs.
 func Run(p *Program, conf Config) (*Result, error) {
-	conf, entry, err := prepare(p, conf)
+	conf, entry, rows, err := prepare(p, conf)
 	if err != nil {
 		return nil, err
 	}
@@ -487,15 +441,9 @@ func Run(p *Program, conf Config) (*Result, error) {
 		mc := p.Meta[cur]
 		m.res.MetaExecs++
 		m.res.MetaStats[cur].Visits++
-		if m.sink != nil && m.emitTL {
-			if err := m.sink.Emit(m.timelineEvent(int64(step), cur)); err != nil {
+		if rows {
+			if err := conf.Sink.Emit(m.timelineEvent(int64(step), cur)); err != nil {
 				return nil, fmt.Errorf("simd: trace sink: %w", err)
-			}
-		}
-		if conf.Strict {
-			if pe, s := m.strictViolation(mc); pe >= 0 {
-				return nil, fmt.Errorf("simd: ms%d %s: PE %d occupies uncovered state %d (conversion bug)",
-					cur, mc.Set, pe, s)
 			}
 		}
 		if err := m.execBody(mc); err != nil {
@@ -505,7 +453,7 @@ func Run(p *Program, conf Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("simd: ms%d: %w", cur, err)
 		}
-		if m.sink != nil {
+		if conf.Sink != nil {
 			e := &obs.Event{
 				Step: int64(step), Cycle: m.res.Time,
 				Meta: cur, Set: mc.Set.String(),
@@ -518,7 +466,7 @@ func Run(p *Program, conf Config) (*Result, error) {
 				e.Live = int(m.live)
 				e.Next = next
 			}
-			if err := m.sink.Emit(e); err != nil {
+			if err := conf.Sink.Emit(e); err != nil {
 				return nil, fmt.Errorf("simd: trace sink: %w", err)
 			}
 		}
@@ -544,37 +492,9 @@ func Run(p *Program, conf Config) (*Result, error) {
 	return m.res, nil
 }
 
-// strictViolation returns the lowest-numbered live PE occupying a MIMD
-// state not covered by mc's set or a barrier, with that state, or
-// (-1, -1) when the occupancy invariant holds. Occupancy masks make
-// this a per-state first-bit scan instead of a per-PE sweep.
-func (m *vm) strictViolation(mc *MetaCode) (int, int) {
-	minPE, state := -1, -1
-	for s := 0; s < m.p.NStates; s++ {
-		if m.occCnt[s] == 0 || mc.Set.Has(s) || m.p.Barriers.Has(s) {
-			continue
-		}
-		pe := firstSet(m.occ[s])
-		if pe >= 0 && (minPE < 0 || pe < minPE) {
-			minPE, state = pe, s
-		}
-	}
-	return minPE, state
-}
-
-// firstSet returns the index of the lowest set bit, or -1.
-func firstSet(m bitset.Mask) int {
-	for w, x := range m {
-		if x != 0 {
-			return w<<6 + bits.TrailingZeros64(x)
-		}
-	}
-	return -1
-}
-
 // timelineEvent captures one per-PE occupancy row as a typed event.
-// Only built when a Timeline writer or typed Sink is attached (it is
-// O(N)); width caps in prepare keep that affordable.
+// Only built when the sink reads rows (it is O(N)); the width cap in
+// prepare keeps that affordable.
 func (m *vm) timelineEvent(step int64, ms int) *obs.Event {
 	pes := make([]int, m.n)
 	for i := range pes {

@@ -9,6 +9,7 @@ import (
 
 	"msc/internal/bitset"
 	"msc/internal/ir"
+	"msc/internal/obs"
 	"msc/internal/telemetry"
 )
 
@@ -271,7 +272,7 @@ func TestRetBrUnderflow(t *testing.T) {
 
 func TestTraceOutput(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := Run(twoStateProgram(), Config{N: 4, Trace: &buf})
+	_, err := Run(twoStateProgram(), Config{N: 4, Sink: &obs.TextSink{Trace: &buf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestTerminalWithLivePEsError(t *testing.T) {
 
 func TestTimelineOutput(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := Run(twoStateProgram(), Config{N: 4, Timeline: &buf})
+	_, err := Run(twoStateProgram(), Config{N: 4, Sink: &obs.TextSink{Timeline: &buf}})
 	if err != nil {
 		t.Fatal(err)
 	}

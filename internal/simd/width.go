@@ -11,24 +11,24 @@ import (
 // gain, so the histogram switches to log₂ buckets.
 const PEHistExactMax = 4096
 
-// ObsWidthCap is the largest machine width at which the per-PE
-// observability features — Timeline rows, the typed event sink's
-// EventTimeline stream, and Strict occupancy checking — are supported.
-// Each is O(N) work per meta state; above the cap Run refuses with a
-// *WidthLimitError instead of silently crawling. Trace (one line per
-// meta state, no per-PE payload) stays available at any width.
+// ObsWidthCap is the largest machine width at which a sink that reads
+// the per-PE EventTimeline rows (obs.ReadsRows: a TextSink with a
+// Timeline writer, a JSONLSink, any custom sink) is supported. A row is
+// O(N) work per meta state; above the cap Run refuses such a sink with
+// a *WidthLimitError instead of silently crawling. A TextSink that
+// renders only the text trace (one line per meta state, no per-PE
+// payload) runs at any width.
 const ObsWidthCap = 1 << 16
 
-// WidthLimitError reports a Config feature requested above its
-// supported machine width. Matchable with errors.As.
+// WidthLimitError reports a sink that reads per-PE rows attached above
+// ObsWidthCap. Matchable with errors.As.
 type WidthLimitError struct {
-	Feature string // "Timeline", "Sink", or "Strict"
-	N, Cap  int
+	N, Cap int
 }
 
 func (e *WidthLimitError) Error() string {
-	return fmt.Sprintf("simd: %s is unsupported above width %d (N=%d): per-PE observability is O(N) per meta state",
-		e.Feature, e.Cap, e.N)
+	return fmt.Sprintf("simd: a sink that reads per-PE timeline rows is unsupported above width %d (N=%d): a row is O(N) per meta state",
+		e.Cap, e.N)
 }
 
 // PEHistLen returns the histogram length for machine width n: n+1 when

@@ -2,6 +2,7 @@ package simd
 
 import (
 	"errors"
+	"io"
 	"testing"
 
 	"msc/internal/obs"
@@ -71,44 +72,44 @@ func TestPEHistBucketedMass(t *testing.T) {
 	}
 }
 
+// TestWidthLimitErrors pins the width rule on both engines: a sink
+// that reads per-PE rows is refused one PE above ObsWidthCap and runs
+// at the cap; a text trace alone has no per-PE payload and runs above
+// it.
 func TestWidthLimitErrors(t *testing.T) {
 	p := testProgram(t)
 	n := ObsWidthCap + 1
-	cases := []struct {
-		feature string
-		conf    Config
+	engines := []struct {
+		name string
+		run  func(*Program, Config) (*Result, error)
+	}{{"Run", Run}, {"ReferenceRun", ReferenceRun}}
+	rowSinks := []struct {
+		name string
+		sink obs.Sink
 	}{
-		{"Timeline", Config{N: n, Timeline: &nullWriter{}}},
-		{"Sink", Config{N: n, Sink: &obs.TextSink{Trace: &nullWriter{}}}},
-		{"Strict", Config{N: n, Strict: true}},
+		{"TextSink{Timeline}", &obs.TextSink{Timeline: io.Discard}},
+		{"JSONLSink", &obs.JSONLSink{W: io.Discard}},
 	}
-	for _, c := range cases {
-		_, err := Run(p, c.conf)
-		var wle *WidthLimitError
-		if !errors.As(err, &wle) {
-			t.Fatalf("%s at width %d: got %v, want *WidthLimitError", c.feature, n, err)
+	for _, e := range engines {
+		for _, s := range rowSinks {
+			_, err := e.run(p, Config{N: n, Sink: s.sink})
+			var wle *WidthLimitError
+			if !errors.As(err, &wle) {
+				t.Fatalf("%s with %s at width %d: got %v, want *WidthLimitError", e.name, s.name, n, err)
+			}
+			if wle.N != n || wle.Cap != ObsWidthCap {
+				t.Errorf("%s with %s: error fields %+v", e.name, s.name, wle)
+			}
+			if _, err := e.run(p, Config{N: ObsWidthCap, InitialActive: 4, Sink: s.sink}); err != nil {
+				t.Errorf("%s with %s at the cap: unexpected error %v", e.name, s.name, err)
+			}
 		}
-		if wle.Feature != c.feature || wle.N != n || wle.Cap != ObsWidthCap {
-			t.Errorf("%s: error fields %+v", c.feature, wle)
+		trace := &obs.TextSink{Trace: io.Discard}
+		if _, err := e.run(p, Config{N: n, InitialActive: 4, Sink: trace}); err != nil {
+			t.Errorf("%s with a text trace above the cap: unexpected error %v", e.name, err)
 		}
-	}
-	// At the cap exactly, everything still works.
-	for _, c := range cases {
-		c.conf.N = ObsWidthCap
-		c.conf.InitialActive = 4
-		if _, err := Run(p, c.conf); err != nil {
-			t.Errorf("%s at the cap: unexpected error %v", c.feature, err)
-		}
-	}
-	// Trace has no per-PE payload and must work at any width.
-	if _, err := Run(p, Config{N: n, InitialActive: 4, Trace: &nullWriter{}}); err != nil {
-		t.Errorf("Trace above the cap: unexpected error %v", err)
 	}
 }
-
-type nullWriter struct{}
-
-func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // testProgram returns the tiny hand-built one-state program shared
 // with vm_test.go — enough to exercise Run's width-dependent paths.

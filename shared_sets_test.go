@@ -13,6 +13,7 @@ import (
 	"msc/internal/bitset"
 	"msc/internal/harness"
 	"msc/internal/hashgen"
+	"msc/internal/obs"
 	"msc/internal/progen"
 	"msc/internal/simd"
 	"msc/internal/telemetry"
@@ -183,7 +184,7 @@ func readEverything(en sharedEntry, c *msc.Compiled) error {
 	rc := msc.RunConfig{N: 8, InitialActive: en.ia}
 	simdRC := rc
 	simdRC.Profiler = telemetry.NewProfiler(1)
-	simdRC.Timeline = io.Discard
+	simdRC.Sink = &obs.TextSink{Timeline: io.Discard}
 	res, err := c.RunSIMD(simdRC)
 	if err != nil {
 		return fmt.Errorf("RunSIMD: %w", err)

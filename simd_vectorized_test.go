@@ -1,6 +1,7 @@
 package msc_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"msc"
 	"msc/internal/harness"
+	"msc/internal/obs"
 	"msc/internal/progen"
 	"msc/internal/simd"
 )
@@ -28,24 +30,42 @@ import (
 // cursor, and per-chunk buffer replay.
 func vecWorkers() []int { return []int{1, 4, 0} }
 
+// vecTraceMax is the widest run vecDiff also traces: up to it both VMs
+// stream their events into a JSONL sink, and the streams must match
+// byte for byte.
+const vecTraceMax = 1024
+
 // vecDiff runs src on the reference VM and on the vectorized VM at
 // every worker count, and requires identical Results (every field,
-// deeply) or identical error text.
+// deeply) or identical error text, and identical event streams up to
+// vecTraceMax PEs.
 func vecDiff(t *testing.T, name, src string, n, initialActive int) {
 	t.Helper()
 	c, err := msc.Compile(src, msc.DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
+	run := func(vm func(*simd.Program, simd.Config) (*simd.Result, error), conf simd.Config) (*simd.Result, []byte, error) {
+		var events bytes.Buffer
+		if n <= vecTraceMax {
+			conf.Sink = &obs.JSONLSink{W: &events}
+		}
+		res, err := vm(c.Program, conf)
+		return res, events.Bytes(), err
+	}
 	conf := simd.Config{N: n, InitialActive: initialActive}
-	want, wantErr := simd.ReferenceRun(c.Program, conf)
+	want, wantEvents, wantErr := run(simd.ReferenceRun, conf)
 	for _, w := range vecWorkers() {
 		wconf := conf
 		wconf.Workers = w
-		got, gotErr := simd.Run(c.Program, wconf)
+		got, gotEvents, gotErr := run(simd.Run, wconf)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Fatalf("%s@%d workers=%d: reference err=%v, vectorized err=%v",
 				name, n, w, wantErr, gotErr)
+		}
+		if !bytes.Equal(wantEvents, gotEvents) {
+			t.Fatalf("%s@%d workers=%d: event stream diverged: %s",
+				name, n, w, diffLines(wantEvents, gotEvents))
 		}
 		if wantErr != nil {
 			if wantErr.Error() != gotErr.Error() {
@@ -59,6 +79,17 @@ func vecDiff(t *testing.T, name, src string, n, initialActive int) {
 				name, n, w, diffResults(want, got))
 		}
 	}
+}
+
+// diffLines names the first diverging line of two event streams.
+func diffLines(a, b []byte) string {
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("line %d: reference %s vs vectorized %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("reference has %d lines, vectorized %d", len(al), len(bl))
 }
 
 // diffResults names the first diverging Result field so a failure

@@ -138,7 +138,7 @@ func TestTraceTextGolden(t *testing.T) {
 			var trace, timeline bytes.Buffer
 			_, err = c.RunSIMD(msc.RunConfig{
 				N: tc.n, InitialActive: tc.active,
-				Trace: &trace, Timeline: &timeline,
+				Sink: &obs.TextSink{Trace: &trace, Timeline: &timeline},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -149,8 +149,8 @@ func TestTraceTextGolden(t *testing.T) {
 	}
 }
 
-// TestTraceSinksAgree runs the same execution once with text writers
-// and once with a JSONL sink, and checks the streams describe the same
+// TestTraceSinksAgree runs the same execution once with a text trace
+// sink and once with a JSONL sink, and checks the streams describe the same
 // events: same count, same kinds, same meta-state sequence.
 func TestTraceSinksAgree(t *testing.T) {
 	tc := goldenCases[0]
@@ -160,7 +160,7 @@ func TestTraceSinksAgree(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	if _, err := c.RunSIMD(msc.RunConfig{N: tc.n, Trace: &text}); err != nil {
+	if _, err := c.RunSIMD(msc.RunConfig{N: tc.n, Sink: &obs.TextSink{Trace: &text}}); err != nil {
 		t.Fatal(err)
 	}
 	var jsonl bytes.Buffer
