@@ -94,6 +94,7 @@ bench:
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=60s ./internal/mimdc/
 	go test -run '^$$' -fuzz=FuzzStackBalance -fuzztime=30s ./internal/mimdc/
+	go test -run '^$$' -fuzz=FuzzEvalRows -fuzztime=30s ./internal/ir/
 	go test -fuzz=FuzzPromEscape -fuzztime=30s ./internal/telemetry/
 	go test -fuzz=FuzzArtifactDecode -fuzztime=30s ./internal/artifact/
 	go test -run '^$$' -fuzz=FuzzRunDecoded -fuzztime=30s ./internal/artifact/

@@ -132,8 +132,12 @@ func TestCoverSinkFires(t *testing.T) {
 
 // checkEquivalence runs src on the MIMD reference machine and on the
 // SIMD machine under every mode, and requires bit-identical memory.
-// initialActive == 0 means all PEs start in main.
-func checkEquivalence(t *testing.T, name, src string, n int, initialActive ...int) {
+// initialActive == 0 means all PEs start in main. Modes with the same
+// conversion options share one automaton: Compile and the SIMD run only
+// read it, and its printed states, sets and transitions must read the
+// same after the last mode as before the first. It returns how many
+// modes the state explosion guard skipped.
+func checkEquivalence(t *testing.T, name, src string, n int, initialActive ...int) (skipped int) {
 	t.Helper()
 	ia := 0
 	if len(initialActive) > 0 {
@@ -144,31 +148,47 @@ func checkEquivalence(t *testing.T, name, src string, n int, initialActive ...in
 	if err != nil {
 		t.Fatalf("%s: mimdsim: %v", name, err)
 	}
+	type conversion struct {
+		a    *msc.Automaton
+		err  error
+		mode string // the first mode that converted with these options
+		fp   string // a.String() before any mode compiled it
+	}
+	convs := map[msc.Options]conversion{}
 	for _, m := range modes {
 		conv := m.conv()
 		if conv.MaxStates > 4000 {
 			conv.MaxStates = 4000 // keep explosion bail-outs fast in tests
 		}
-		a, err := msc.Convert(g, conv)
-		if err != nil {
-			if strings.Contains(err.Error(), "exceeded") {
+		c, ok := convs[conv]
+		if !ok {
+			c.a, c.err = msc.Convert(g, conv)
+			c.mode = m.name
+			if c.err == nil {
+				if err := msc.Check(c.a); err != nil {
+					t.Fatalf("%s/%s: check: %v", name, m.name, err)
+				}
+				c.fp = c.a.String()
+			}
+			convs[conv] = c
+		}
+		if c.err != nil {
+			if strings.Contains(c.err.Error(), "exceeded") {
 				// The §1.2 state explosion guard fired: this program is
 				// exactly why compression exists. Not an equivalence bug.
-				t.Logf("%s/%s: skipped (state explosion guard): %v", name, m.name, err)
+				t.Logf("%s/%s: skipped (state explosion guard): %v", name, m.name, c.err)
+				skipped++
 				continue
 			}
-			t.Fatalf("%s/%s: convert: %v", name, m.name, err)
+			t.Fatalf("%s/%s: convert: %v", name, m.name, c.err)
 		}
-		if err := msc.Check(a); err != nil {
-			t.Fatalf("%s/%s: check: %v", name, m.name, err)
-		}
-		p, err := Compile(a, m.code)
+		p, err := Compile(c.a, m.code)
 		if err != nil {
 			t.Fatalf("%s/%s: compile: %v", name, m.name, err)
 		}
 		res, err := simd.Run(p, simd.Config{N: n, InitialActive: ia, Sink: coverSink{p}})
 		if err != nil {
-			t.Fatalf("%s/%s: simd run: %v\n%s", name, m.name, err, a)
+			t.Fatalf("%s/%s: simd run: %v\n%s", name, m.name, err, c.a)
 		}
 		for pe := 0; pe < n; pe++ {
 			for slot := range ref.Mem[pe] {
@@ -183,6 +203,12 @@ func checkEquivalence(t *testing.T, name, src string, n int, initialActive ...in
 			}
 		}
 	}
+	for _, c := range convs {
+		if c.err == nil && c.a.String() != c.fp {
+			t.Fatalf("%s: the automaton converted for %s changed while the modes sharing it ran", name, c.mode)
+		}
+	}
+	return skipped
 }
 
 func TestEquivalenceListing1(t *testing.T) {
@@ -234,10 +260,16 @@ void main()
 `, 4, 1)
 }
 
+// TestEquivalenceRandomPrograms runs 60 generated programs under every
+// mode. The uncompressed modes explode on some of them and skip: 90 of
+// the 480 runs. More skips fail the test, so a change that makes more
+// programs explode shows instead of quietly shrinking coverage.
 func TestEquivalenceRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random sweep skipped in -short")
 	}
+	const maxSkipped = 90
+	skipped := 0
 	for seed := int64(0); seed < 12; seed++ {
 		for _, variant := range []progen.Params{
 			{Seed: seed, MaxDepth: 2, MaxStmts: 4},
@@ -254,9 +286,12 @@ func TestEquivalenceRandomPrograms(t *testing.T) {
 						t.Fatalf("%s: panic: %v\nsource:\n%s", name, r, src)
 					}
 				}()
-				checkEquivalence(t, name, src, 5)
+				skipped += checkEquivalence(t, name, src, 5)
 			}()
 		}
+	}
+	if skipped > maxSkipped {
+		t.Fatalf("%d of %d runs skipped at the state explosion guard, want at most %d", skipped, 60*len(modes), maxSkipped)
 	}
 }
 

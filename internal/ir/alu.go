@@ -79,6 +79,130 @@ func EvalBinary(op Op, a, b Word) Word {
 	panic(fmt.Sprintf("ir: EvalBinary of non-binary op %v", op))
 }
 
+// EvalBinaryRow sets x[i] = EvalBinary(op, x[i], y[i]) for every lane
+// of x, with one opcode switch for the whole row instead of one per
+// lane; y must be at least as long as x. The results are bit-identical
+// to EvalBinary's, and a non-binary op panics as it does.
+func EvalBinaryRow(op Op, x, y []Word) {
+	y = y[:len(x)]
+	switch op {
+	case Add:
+		for i := range x {
+			x[i] += y[i]
+		}
+	case Sub:
+		for i := range x {
+			x[i] -= y[i]
+		}
+	case Mul:
+		for i := range x {
+			x[i] *= y[i]
+		}
+	case Div:
+		for i, b := range y {
+			if b == 0 {
+				x[i] = 0
+			} else {
+				x[i] /= b
+			}
+		}
+	case Mod:
+		for i, b := range y {
+			if b == 0 {
+				x[i] = 0
+			} else {
+				x[i] %= b
+			}
+		}
+	case BitAnd:
+		for i := range x {
+			x[i] &= y[i]
+		}
+	case BitOr:
+		for i := range x {
+			x[i] |= y[i]
+		}
+	case BitXor:
+		for i := range x {
+			x[i] ^= y[i]
+		}
+	case Shl:
+		for i := range x {
+			x[i] <<= uint64(y[i]) & 63
+		}
+	case Shr:
+		for i := range x {
+			x[i] >>= uint64(y[i]) & 63
+		}
+	case CmpLt:
+		for i := range x {
+			x[i] = Bool(x[i] < y[i])
+		}
+	case CmpLe:
+		for i := range x {
+			x[i] = Bool(x[i] <= y[i])
+		}
+	case CmpGt:
+		for i := range x {
+			x[i] = Bool(x[i] > y[i])
+		}
+	case CmpGe:
+		for i := range x {
+			x[i] = Bool(x[i] >= y[i])
+		}
+	case CmpEq:
+		for i := range x {
+			x[i] = Bool(x[i] == y[i])
+		}
+	case CmpNe:
+		for i := range x {
+			x[i] = Bool(x[i] != y[i])
+		}
+	case FAdd:
+		for i := range x {
+			x[i] = FloatWord(x[i].Float() + y[i].Float())
+		}
+	case FSub:
+		for i := range x {
+			x[i] = FloatWord(x[i].Float() - y[i].Float())
+		}
+	case FMul:
+		for i := range x {
+			x[i] = FloatWord(x[i].Float() * y[i].Float())
+		}
+	case FDiv:
+		for i := range x {
+			x[i] = FloatWord(x[i].Float() / y[i].Float())
+		}
+	case FCmpLt:
+		for i := range x {
+			x[i] = Bool(x[i].Float() < y[i].Float())
+		}
+	case FCmpLe:
+		for i := range x {
+			x[i] = Bool(x[i].Float() <= y[i].Float())
+		}
+	case FCmpGt:
+		for i := range x {
+			x[i] = Bool(x[i].Float() > y[i].Float())
+		}
+	case FCmpGe:
+		for i := range x {
+			x[i] = Bool(x[i].Float() >= y[i].Float())
+		}
+	case FCmpEq:
+		for i := range x {
+			x[i] = Bool(x[i].Float() == y[i].Float())
+		}
+	case FCmpNe:
+		for i := range x {
+			x[i] = Bool(x[i].Float() != y[i].Float())
+		}
+	default:
+		panic(fmt.Sprintf("ir: EvalBinaryRow of non-binary op %v", op))
+	}
+}
+
 // IsBinary reports whether op is a two-operand ALU opcode.
 func IsBinary(op Op) bool {
 	switch op {

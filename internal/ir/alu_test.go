@@ -1,6 +1,11 @@
 package ir
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -283,4 +288,125 @@ func TestIsFloatClassifier(t *testing.T) {
 	if Add.IsFloat() || CmpEq.IsFloat() || I2F.IsFloat() {
 		t.Error("int/conversion ops classified as float")
 	}
+}
+
+// binaryOps lists every opcode IsBinary accepts.
+func binaryOps() []Op {
+	var ops []Op
+	for op := Nop; op < numOps; op++ {
+		if IsBinary(op) {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+// rowMatches requires EvalBinaryRow(op, x, y) to leave in x exactly the
+// per-lane EvalBinary results, bit for bit, and y unchanged.
+func rowMatches(t *testing.T, op Op, x, y []Word) {
+	t.Helper()
+	want := make([]Word, len(x))
+	for i := range x {
+		want[i] = EvalBinary(op, x[i], y[i])
+	}
+	got, yc := slices.Clone(x), slices.Clone(y)
+	EvalBinaryRow(op, got, yc)
+	if !slices.Equal(yc, y) {
+		t.Fatalf("%v: EvalBinaryRow changed its right operand row", op)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%v lane %d: EvalBinaryRow(%#x, %#x) = %#x, EvalBinary %#x", op, i, x[i], y[i], got[i], want[i])
+		}
+	}
+}
+
+// TestEvalBinaryRow: for every binary opcode, EvalBinaryRow over 64-lane
+// rows equals per-lane EvalBinary on every pair of edge operands and on
+// seeded random rows, and a non-binary opcode panics.
+func TestEvalBinaryRow(t *testing.T) {
+	f := func(x float64) Word { return FloatWord(x) }
+	edges := []Word{
+		0, 1, -1, 2, -3, 63, 64, math.MinInt64, math.MaxInt64,
+		f(math.NaN()), f(math.Inf(1)), f(math.Inf(-1)), f(math.Copysign(0, -1)), f(1.5), f(-2.25),
+	}
+	var xs, ys []Word
+	for _, a := range edges {
+		for _, b := range edges {
+			xs, ys = append(xs, a), append(ys, b)
+		}
+	}
+	for len(xs)%64 != 0 {
+		xs, ys = append(xs, 7), append(ys, 0)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 8 {
+		for range 64 {
+			// Half full-range words, half small ones, so comparisons,
+			// shifts and division see equal and tiny operands too.
+			a, b := Word(r.Uint64()), Word(r.Uint64())
+			if r.IntN(2) == 0 {
+				a, b = Word(r.IntN(9)-4), Word(r.IntN(9)-4)
+			}
+			xs, ys = append(xs, a), append(ys, b)
+		}
+	}
+	for _, op := range binaryOps() {
+		for i := 0; i < len(xs); i += 64 {
+			rowMatches(t, op, xs[i:i+64], ys[i:i+64])
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   Op
+		a, b Word
+		want Word
+	}{
+		{"MinInt64 / -1", Div, math.MinInt64, -1, math.MinInt64},
+		{"MinInt64 % -1", Mod, math.MinInt64, -1, 0},
+		{"div by 0", Div, 5, 0, 0},
+		{"mod by 0", Mod, 5, 0, 0},
+		{"shl 63", Shl, 1, 63, math.MinInt64},
+		{"shl 64", Shl, 1, 64, 1},
+		{"shl -1", Shl, 1, -1, math.MinInt64},
+		{"shr -1", Shr, math.MinInt64, -1, -1},
+	} {
+		x := []Word{c.a}
+		if EvalBinaryRow(c.op, x, []Word{c.b}); x[0] != c.want {
+			t.Errorf("%s: EvalBinaryRow = %d, want %d", c.name, x[0], c.want)
+		}
+	}
+	for op := Nop; op < numOps; op++ {
+		if IsBinary(op) {
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EvalBinaryRow(%v) did not panic", op)
+				}
+			}()
+			EvalBinaryRow(op, make([]Word, 64), make([]Word, 64))
+		}()
+	}
+}
+
+// FuzzEvalRows: an opcode drawn from the binary ones and two 64-lane
+// rows read from the input, little-endian, zero past its end;
+// EvalBinaryRow must equal per-lane EvalBinary.
+func FuzzEvalRows(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(3), bytes.Repeat([]byte{0xff}, 1024))
+	f.Add(uint8(8), binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1), 64))
+	f.Add(uint8(19), binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN())))
+	ops := binaryOps()
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		var rows [128]Word
+		for i := range rows {
+			var w [8]byte
+			copy(w[:], data[min(len(data), 8*i):])
+			rows[i] = Word(binary.LittleEndian.Uint64(w[:]))
+		}
+		rowMatches(t, ops[int(sel)%len(ops)], rows[:64], rows[64:])
+	})
 }

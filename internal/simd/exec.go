@@ -169,10 +169,16 @@ func (m *vm) enable(members []int32, w0, w1 int) bitset.Mask {
 	return e
 }
 
+// fullWord is a mask word that enables all 64 of its PEs.
+const fullWord = ^uint64(0)
+
 // execLocal runs one chunk-local slot on chunk c's enabled PEs. Chunks
 // are word-aligned, so dirty and npc words are never shared. A slot
 // that reads the evaluation stack runs once per depth group of its
-// guard, each group at its own fixed rows.
+// guard, each group at its own fixed rows. JumpF, SetPC, End and Halt
+// write a full mask word's 64 npcs in one straight loop (see
+// execInstr); RetBr pops each PE's own return stack and keeps its bit
+// loop.
 func (m *vm) execLocal(s *Slot, r slotRef, c int) error {
 	w0, w1 := m.chunkWords(c)
 	switch s.Kind {
@@ -194,6 +200,17 @@ func (m *vm) execLocal(s *Slot, r slotRef, c int) error {
 				}
 				m.dirty[w] |= ew
 				base := w << 6
+				if ew == fullWord {
+					row := npcs[base : base+64]
+					for i, v := range cond[base-ch.p0 : base-ch.p0+64] {
+						t := fto
+						if ir.Truth(v) {
+							t = to
+						}
+						row[i] = t
+					}
+					continue
+				}
 				for ew != 0 {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1
@@ -228,6 +245,16 @@ func (m *vm) execLocal(s *Slot, r slotRef, c int) error {
 			}
 			m.dirty[w] |= ew
 			base := w << 6
+			if ew == fullWord {
+				row := npcs[base : base+64]
+				for i := range row {
+					row[i] = to
+				}
+				if halt {
+					clear(rlens[base : base+64])
+				}
+				continue
+			}
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
@@ -367,13 +394,23 @@ func (m *vm) commit() {
 	}
 }
 
+// commitPairs bounds how many (old pc, new pc) pairs commitChunk
+// gathers before it moves them.
+const commitPairs = 4
+
 // commitChunk moves chunk c's dirty PEs from their old pc to their new
-// one, ascending. Consecutive dirty PEs of a word that share an (old,
-// new) pair form a run, moved with one mask operation per side and one
-// count update by popcount.
+// one. It gathers a word's dirty PEs into one mask per (old, new) pair,
+// so the word makes one mask move per pair however its PEs interleave
+// — a JumpF that alternates its outcome between neighbours makes two.
+// A fifth pair first moves the commitPairs gathered masks and starts
+// over, which bounds the per-PE search at commitPairs compares. A run
+// of neighbours that share a pair never spans such a flush, so a word
+// makes no more moves than it has runs. The moves are disjoint, so
+// their order does not matter.
 func (m *vm) commitChunk(ws *wscratch, c int) error {
 	w0, w1 := m.chunkWords(c)
 	pcs, npcs := m.pcs, m.npcs
+	var keys, masks [commitPairs]uint64
 	for w := w0; w < w1; w++ {
 		dw := m.dirty[w]
 		if dw == 0 {
@@ -381,51 +418,66 @@ func (m *vm) commitChunk(ws *wscratch, c int) error {
 		}
 		m.dirty[w] = 0
 		base := w << 6
-		for dw != 0 {
-			pe := base + bits.TrailingZeros64(dw)
-			old, nv := pcs[pe], npcs[pe]
-			run := dw & -dw
-			dw &= dw - 1
+		np := 0
+		for ; dw != 0; dw &= dw - 1 {
+			b := bits.TrailingZeros64(dw)
+			pe := base + b
+			nv := npcs[pe]
+			k := uint64(uint32(pcs[pe]))<<32 | uint64(uint32(nv))
 			pcs[pe] = nv
-			for dw != 0 {
-				q := base + bits.TrailingZeros64(dw)
-				if pcs[q] != old || npcs[q] != nv {
-					break
+			j := 0
+			for j < np && keys[j] != k {
+				j++
+			}
+			if j == np {
+				if np == commitPairs {
+					m.movePairs(ws, w, keys[:np], masks[:np])
+					j, np = 0, 0
 				}
-				run |= dw & -dw
-				dw &= dw - 1
-				pcs[q] = nv
+				keys[j], masks[j] = k, 0
+				np++
 			}
-			if old == nv {
-				continue
-			}
-			k := int64(bits.OnesCount64(run))
-			switch {
-			case old >= 0:
-				m.occ[old][w] &^= run
-				ws.cntDelta[old] -= k
-				ws.cntTouched = true
-				ws.liveDelta -= k
-			case old == PCIdle:
-				m.idle[w] &^= run
-			}
-			switch {
-			case nv >= 0:
-				m.occ[nv][w] |= run
-				ws.cntDelta[nv] += k
-				ws.cntTouched = true
-				ws.liveDelta += k
-			case nv == PCIdle:
-				m.idle[w] |= run
-				if w < ws.minIdleW {
-					ws.minIdleW = w
-				}
-			default: // PCDone
-				m.doneM[w] |= run
-			}
+			masks[j] |= 1 << b
 		}
+		m.movePairs(ws, w, keys[:np], masks[:np])
 	}
 	return nil
+}
+
+// movePairs moves the PEs of mask word w gathered under each (old pc,
+// new pc) key from old to new: their occupancy, idle and done bits, and
+// the worker's count deltas.
+func (m *vm) movePairs(ws *wscratch, w int, keys, masks []uint64) {
+	for j, key := range keys {
+		old, nv, run := int32(key>>32), int32(key), masks[j]
+		if old == nv {
+			continue
+		}
+		k := int64(bits.OnesCount64(run))
+		switch {
+		case old >= 0:
+			m.occ[old][w] &^= run
+			ws.cntDelta[old] -= k
+			ws.cntTouched = true
+			ws.liveDelta -= k
+		case old == PCIdle:
+			m.idle[w] &^= run
+		}
+		switch {
+		case nv >= 0:
+			m.occ[nv][w] |= run
+			ws.cntDelta[nv] += k
+			ws.cntTouched = true
+			ws.liveDelta += k
+		case nv == PCIdle:
+			m.idle[w] |= run
+			if w < ws.minIdleW {
+				ws.minIdleW = w
+			}
+		default: // PCDone
+			m.doneM[w] |= run
+		}
+	}
 }
 
 func (m *vm) slotAddr(addr int64) (int, error) {
@@ -488,11 +540,16 @@ func (ch *chunk) row(d int) []ir.Word { return ch.stk[d*ch.wd:][:ch.wd] }
 // it allocated, so every row a slot addresses exists and no PE's depth
 // is loaded, tested or stored.
 //
-// Every case carries its own bit loop. This is the hottest code in
-// the repo; measure before restructuring. A static error (an address
-// out of range, an unknown opcode) is returned before any PE runs, by
-// every chunk alike, so execRun reports it at its slot just as
-// slot-by-slot execution does.
+// Every case carries its own bit loop over a word's enabled PEs. The
+// cases that touch only the PE's own row entries or memory word also
+// carry a second path, for a mask word that enables all 64 PEs: a
+// straight loop over the word's 64 contiguous row entries, with no bit
+// extraction, and for a binary op one ir.EvalBinaryRow call, one opcode
+// switch per word. This is the hottest code in the repo; measure
+// before restructuring. A static error (an address out of range, an
+// unknown opcode) is returned before any PE runs, by every chunk
+// alike, so execRun reports it at its slot just as slot-by-slot
+// execution does.
 func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 	ch := &m.chunks[c]
 	w0, w1 := m.chunkWords(c)
@@ -509,6 +566,13 @@ func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w<<6 - p0
+			if ew == fullWord {
+				row := dst[base : base+64]
+				for i := range row {
+					row[i] = v
+				}
+				continue
+			}
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
@@ -520,6 +584,13 @@ func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
+			if ew == fullWord {
+				row := dst[base-p0 : base-p0+64]
+				for i := range row {
+					row[i] = ir.Word(base + i)
+				}
+				continue
+			}
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
@@ -532,6 +603,10 @@ func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w<<6 - p0
+			if ew == fullWord {
+				copy(dst[base:base+64], src[base:base+64])
+				continue
+			}
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
@@ -547,6 +622,14 @@ func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
+			if ew == fullWord {
+				row, j := dst[base-p0:base-p0+64], base*wpp+a
+				for i := range row {
+					row[i] = mem[j]
+					j += wpp
+				}
+				continue
+			}
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
@@ -563,6 +646,14 @@ func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 		for w := w0; w < w1; w++ {
 			ew := e[w]
 			base := w << 6
+			if ew == fullWord {
+				row, j := src[base-p0:base-p0+64], base*wpp+a
+				for _, v := range row {
+					mem[j] = v
+					j += wpp
+				}
+				continue
+			}
 			for ew != 0 {
 				b := bits.TrailingZeros64(ew)
 				ew &= ew - 1
@@ -628,6 +719,10 @@ func (m *vm) execInstr(in ir.Instr, d int, e bitset.Mask, c int) error {
 			for w := w0; w < w1; w++ {
 				ew := e[w]
 				base := w<<6 - p0
+				if ew == fullWord {
+					ir.EvalBinaryRow(op, x[base:base+64], y[base:base+64])
+					continue
+				}
 				for ew != 0 {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1

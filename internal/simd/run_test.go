@@ -3,6 +3,7 @@ package simd
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -364,4 +365,178 @@ func TestRunDeepRecursion(t *testing.T) {
 			depth, deep-shallow, 2*k, limit)
 	}
 	t.Logf("depth %d: %d bytes, depth %d: %d bytes", 2*k, shallow, depth, deep)
+}
+
+// wordsProgram builds a program that runs every slot kind with a
+// full-mask-word path (execInstr, execLocal) under guards whose mask
+// words are full, partial or empty, depending on split (see
+// splitProgram), and whose commits group each word's PEs by (old pc,
+// new pc) pair:
+//
+//   - meta state 1 runs every binary opcode and the data slots (NProc,
+//     IProc, Dup, LdLocal, LdMono, StLocal) under g1, g2 and g12, then a
+//     JumpF under g12 whose condition iproc%2 alternates its outcome
+//     between neighbours, to states 3 and 4: at most 4 pairs a word;
+//   - meta states 2 and 3 split every state by the next bit of iproc,
+//     so the commit of meta state 3 spreads each word's PEs over 8
+//     pairs, past commitPairs;
+//   - meta state 4 sends every leaf to state 17 by one SetPC, again 8
+//     pairs a word;
+//   - meta states 5 and 6 split state 17 at split again, and end the
+//     PEs below it and halt the rest.
+//
+// Every PE stores a marker in each state it passes, so a PE moved to
+// the wrong state shows in Mem.
+func wordsProgram(split int) *Program {
+	gs := bitset.Of
+	var body []Slot
+	word := int64(0)
+	store := func(g *bitset.Set) {
+		body = append(body, ex(g, ir.StLocal, word))
+		word++
+	}
+	for op := ir.Op(0); op < 255; op++ {
+		if !ir.IsBinary(op) {
+			continue
+		}
+		for _, g := range []*bitset.Set{g1, g2, g12} {
+			body = append(body,
+				ex(g, ir.IProc, 0), ex(g, ir.PushC, 37), ex(g, ir.Mul, 0), ex(g, ir.PushC, 3000), ex(g, ir.Sub, 0),
+				ex(g, ir.IProc, 0), ex(g, ir.PushC, 7), ex(g, ir.Mod, 0), ex(g, ir.PushC, 3), ex(g, ir.Sub, 0),
+				ex(g, op, 0))
+			store(g)
+		}
+	}
+	for _, g := range []*bitset.Set{g1, g2, g12} {
+		body = append(body, ex(g, ir.NProc, 0), ex(g, ir.IProc, 0), ex(g, ir.Add, 0), ex(g, ir.Dup, 0), ex(g, ir.Add, 0))
+		store(g)
+		body = append(body, ex(g, ir.LdLocal, word-1), ex(g, ir.PushC, 5), ex(g, ir.Mul, 0))
+		store(g)
+		body = append(body, ex(g, ir.LdMono, word-2))
+		store(g)
+	}
+	body = append(body, ex(g12, ir.IProc, 0), ex(g12, ir.PushC, 2), ex(g12, ir.Mod, 0))
+	mark := word
+	p := splitProgram(int(mark)+5, split, body...)
+	p.NStates = 20
+	m1 := p.Meta[1]
+	m1.Slots[len(body)] = Slot{Kind: SlotJumpF, Guard: g12, To: 3, FTo: 4, Pos: m1.Slots[len(body)].Pos}
+	m1.Trans = Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: gs(3, 4), To: 2}}}
+
+	// level splits the PEs of states [lo, lo+k) by bit b of iproc, state
+	// s to 2s-lo+k and the one after, in meta state id.
+	level := func(id, lo, k, b int) *MetaCode {
+		var states []int
+		for s := lo; s < lo+k; s++ {
+			states = append(states, s)
+		}
+		g := gs(states...)
+		slots := []Slot{
+			ex(g, ir.PushC, int64(id)), ex(g, ir.StLocal, mark+int64(id)-2),
+			ex(g, ir.IProc, 0), ex(g, ir.PushC, int64(b)), ex(g, ir.Shr, 0), ex(g, ir.PushC, 1), ex(g, ir.BitAnd, 0),
+		}
+		for s := lo; s < lo+k; s++ {
+			t := lo + k + 2*(s-lo)
+			slots = append(slots, Slot{Kind: SlotJumpF, Guard: gs(s), To: t, FTo: t + 1})
+		}
+		next := make([]int, 2*k)
+		for i := range next {
+			next[i] = lo + k + i
+		}
+		return &MetaCode{ID: id, Set: g.Clone(), Slots: slots,
+			Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: gs(next...), To: id + 1}}}}
+	}
+	g17, g18, g19, leaves := gs(17), gs(18), gs(19), gs(9, 10, 11, 12, 13, 14, 15, 16)
+	var leafMarks []Slot
+	for s := 9; s <= 16; s++ {
+		leafMarks = append(leafMarks, ex(gs(s), ir.PushC, int64(s)), ex(gs(s), ir.StLocal, mark+4))
+	}
+	p.Meta = append(p.Meta,
+		level(2, 3, 2, 1), level(3, 5, 4, 2),
+		&MetaCode{ID: 4, Set: leaves.Clone(), Slots: append(leafMarks,
+			ex(leaves, ir.IProc, 0), ex(leaves, ir.StLocal, mark+2), Slot{Kind: SlotSetPC, Guard: leaves, To: 17},
+		), Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: g17, To: 5}}}},
+		&MetaCode{ID: 5, Set: g17.Clone(), Slots: []Slot{
+			ex(g17, ir.PushC, 17), ex(g17, ir.StLocal, mark+3),
+			ex(g17, ir.IProc, 0), ex(g17, ir.PushC, int64(split)), ex(g17, ir.CmpLt, 0),
+			{Kind: SlotJumpF, Guard: g17, To: 18, FTo: 19},
+		}, Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: gs(18, 19), To: 6}}}},
+		&MetaCode{ID: 6, Set: gs(18, 19), Slots: []Slot{
+			{Kind: SlotEnd, Guard: g18}, {Kind: SlotHalt, Guard: g19},
+		}, Trans: Trans{Kind: TransNone}})
+	for _, mc := range p.Meta[2:] {
+		for i := range mc.Slots {
+			mc.Slots[i].Pos = ir.Pos{Line: i + 1}
+		}
+	}
+	return p
+}
+
+// TestRunFullPartialAndTailWords: at N = 200 in chunks of 128 PEs,
+// words 0-2 hold 64 PEs each and word 3 only 8, the tail. The split
+// points leave a state's words full, partial or empty: at 64 and 96
+// state 1 fills word 0 and state 2 word 2, with word 1 whole in state 2
+// or shared by both; at 200 state 2 is empty, and at 0 state 1. Every
+// case must match ReferenceRun at every worker count: Results, error
+// text and profiler frames.
+func TestRunFullPartialAndTailWords(t *testing.T) {
+	defer SetChunkPEsForTest(128)()
+	if commitPairs >= 8 {
+		t.Fatalf("commitPairs = %d: the 8-pair words no longer flush the gathered pairs", commitPairs)
+	}
+	const n = 200
+	for _, split := range []int{64, 96, 200, 0} {
+		res, err := refCheck(t, wordsProgram(split), Config{N: n})
+		if err != nil {
+			t.Fatalf("split %d: %v", split, err)
+		}
+		for _, pe := range []int{0, 63, 64, 95, 96, 127, 128, 191, 192, 199} {
+			m := res.Mem[pe]
+			// A JumpF sends a true condition to its first target, so
+			// the leaf counts up from 9 as bits 0, 1, 2 of pe clear.
+			leaf := 9 + 4*(1-pe&1) + 2*(1-pe>>1&1) + (1 - pe>>2&1)
+			want := []ir.Word{2, 3, ir.Word(pe), 17, ir.Word(leaf)}
+			if got := m[len(m)-5:]; !slices.Equal(got, want) {
+				t.Errorf("split %d PE %d: markers %v, want %v", split, pe, got, want)
+			}
+			if want := pe < split; res.Done[pe] != want {
+				t.Errorf("split %d PE %d: done %v, want %v", split, pe, res.Done[pe], want)
+			}
+		}
+	}
+}
+
+// TestHaltEmptiesReturnStack: each of the 128 active PEs pushes a
+// return site, the PEs below split halt and the others spawn a child
+// each into the free PEs, lowest first: the halted ones, then the 128
+// never active. A halt empties the PE's return stack, so the children's
+// RetBr underflows at PE 0, whose mask word halts whole at split 64 and
+// in part at split 32.
+func TestHaltEmptiesReturnStack(t *testing.T) {
+	gs := bitset.Of
+	g0, g3, g4, g5 := gs(0), gs(3), gs(4), gs(5)
+	for _, split := range []int{64, 32} {
+		p := &Program{
+			Start: 0, Words: 1, NStates: 6, Barriers: bitset.New(0),
+			Meta: []*MetaCode{
+				{ID: 0, Set: g0.Clone(), Slots: []Slot{
+					ex(g0, ir.PushRet, 1), ex(g0, ir.IProc, 0), ex(g0, ir.PushC, int64(split)), ex(g0, ir.CmpLt, 0),
+					{Kind: SlotJumpF, Guard: g0, To: 1, FTo: 2},
+				}, Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: g2, To: 1}}}},
+				{ID: 1, Set: g12.Clone(), Slots: []Slot{
+					{Kind: SlotHalt, Guard: g1}, {Kind: SlotSetPC, Guard: g2, To: 3},
+				}, Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: g3, To: 2}}}},
+				{ID: 2, Set: g3.Clone(), Slots: []Slot{
+					{Kind: SlotSpawn, Guard: g3, To: 4, ChildTo: 5},
+				}, Trans: Trans{Kind: TransGoto, Entries: []DispatchEntry{{Key: gs(4, 5), To: 3}}}},
+				{ID: 3, Set: gs(4, 5), Slots: []Slot{
+					{Kind: SlotRetBr, Guard: g5}, {Kind: SlotEnd, Guard: g4},
+				}, Trans: Trans{Kind: TransNone}},
+			},
+		}
+		_, err := refCheck(t, p, Config{N: 256, InitialActive: 128})
+		if err == nil || err.Error() != "simd: ms3: PE 0 return with empty return stack" {
+			t.Fatalf("split %d: error %v, want PE 0's return stack underflow", split, err)
+		}
+	}
 }

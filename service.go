@@ -106,6 +106,13 @@ type CompileService struct {
 	latency  *telemetry.Histogram
 	inFlight *telemetry.Gauge
 	queued   *telemetry.Gauge
+
+	// responses holds the service.responses counter of each status
+	// http.ResponseWriter.WriteHeader accepts (100-999), index =
+	// status-100, resolved at the status's first response: a labeled
+	// registry lookup allocates, and the series keep their
+	// first-response order in /metrics.
+	responses [900]atomic.Pointer[telemetry.Counter]
 }
 
 // NewCompileService builds the service and registers its metrics.
@@ -340,8 +347,14 @@ func (s *CompileService) count(status int) {
 	if c := status / 100; c >= 0 && c < len(s.byClass) {
 		s.byClass[c].Add(1)
 	}
-	s.cfg.Registry.Counter("service.responses", "responses by status",
-		telemetry.Label{Name: "status", Value: strconv.Itoa(status)}).Add(1)
+	p := &s.responses[status-100]
+	c := p.Load()
+	if c == nil {
+		c = s.cfg.Registry.Counter("service.responses", "responses by status",
+			telemetry.Label{Name: "status", Value: strconv.Itoa(status)})
+		p.Store(c)
+	}
+	c.Add(1)
 }
 
 // admit reserves a worker slot, queueing up to QueueDepth requests.
