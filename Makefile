@@ -14,7 +14,7 @@ test:
 # The -race pass includes TestVectorizedCorpusWide (width 65536 at every
 # worker count), so the chunk pool's claim/commit discipline is
 # race-checked at production scale on every gate.
-check: vet-examples opt-goldens cache-determinism perfbench-check stress
+check: vet-examples opt-goldens cache-determinism perfbench-check examples stress
 	go vet ./...
 	go build ./cmd/mscd ./cmd/mscload
 	go test ./cmd/...
@@ -109,6 +109,9 @@ fuzz:
 experiments:
 	go run ./cmd/mscbench -o EXPERIMENTS.md -header
 
+# Every runnable example; `check` runs them too. interp-vs-msc exits
+# non-zero when the engines disagree, and artifacts renders DotAutomaton
+# and MPL into ./msc-artifacts.
 examples:
 	go run ./examples/quickstart
 	go run ./examples/interp-vs-msc

@@ -20,6 +20,7 @@ package interp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"msc/internal/cfg"
 	"msc/internal/ir"
@@ -105,12 +106,11 @@ const (
 )
 
 type pe struct {
+	ir.PE
 	live     bool
 	idle     bool
 	blk      int
 	idx      int // next instruction index; len(code) means terminator
-	stack    []ir.Word
-	retStack []int
 	released bool
 }
 
@@ -249,13 +249,7 @@ func (m *machine) round() (bool, error) {
 	for k := range kinds {
 		order = append(order, k)
 	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if order[j] < order[i] {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
+	slices.Sort(order)
 
 	for _, k := range order {
 		m.res.Time += MaskCost
@@ -306,12 +300,11 @@ func (m *machine) dispatch(k opKind, matching []int) error {
 			case kindHalt:
 				p.live = false
 				p.idle = true
-				p.stack = p.stack[:0]
-				p.retStack = p.retStack[:0]
+				p.Reset()
 			case kindGoto:
 				m.jump(p, b.Next)
 			case kindBranch:
-				c, err := m.pop(i)
+				c, err := p.Pop()
 				if err != nil {
 					return err
 				}
@@ -321,11 +314,11 @@ func (m *machine) dispatch(k opKind, matching []int) error {
 					m.jump(p, b.FNext)
 				}
 			case kindRetBr:
-				if len(p.retStack) == 0 {
+				if len(p.Ret) == 0 {
 					return fmt.Errorf("interp: PE %d return with empty return stack", i)
 				}
-				m.jump(p, p.retStack[len(p.retStack)-1])
-				p.retStack = p.retStack[:len(p.retStack)-1]
+				m.jump(p, p.Ret[len(p.Ret)-1])
+				p.Ret = p.Ret[:len(p.Ret)-1]
 			case kindSpawn:
 				child := -1
 				for j := range m.pes {
@@ -359,7 +352,7 @@ func (m *machine) dispatch(k opKind, matching []int) error {
 		p := &m.pes[i]
 		b := m.g.Block(p.blk)
 		in := b.Code[p.idx]
-		if err := m.exec(i, in); err != nil {
+		if err := p.Exec(in, i, m.mem); err != nil {
 			return fmt.Errorf("interp: PE %d state %d idx %d: %w", i, p.blk, p.idx, err)
 		}
 		p.idx++
@@ -374,156 +367,4 @@ func (m *machine) jump(p *pe, blk int) {
 	p.idx = 0
 	p.released = false
 	m.res.BlockVisits[blk]++
-}
-
-func (m *machine) push(i int, w ir.Word) { m.pes[i].stack = append(m.pes[i].stack, w) }
-
-func (m *machine) pop(i int) (ir.Word, error) {
-	s := m.pes[i].stack
-	if len(s) == 0 {
-		return 0, fmt.Errorf("evaluation stack underflow")
-	}
-	w := s[len(s)-1]
-	m.pes[i].stack = s[:len(s)-1]
-	return w, nil
-}
-
-func (m *machine) slot(addr int64) (int, error) {
-	if addr < 0 || addr >= int64(m.g.Words) {
-		return 0, fmt.Errorf("memory address %d out of range [0,%d)", addr, m.g.Words)
-	}
-	return int(addr), nil
-}
-
-func peIndex(p ir.Word, n int) int {
-	v := int(p) % n
-	if v < 0 {
-		v += n
-	}
-	return v
-}
-
-func (m *machine) exec(i int, in ir.Instr) error {
-	switch in.Op {
-	case ir.Nop:
-	case ir.PushC:
-		m.push(i, ir.Word(in.Imm))
-	case ir.Dup:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		m.push(i, w)
-		m.push(i, w)
-	case ir.Pop:
-		for k := int64(0); k < in.Imm; k++ {
-			if _, err := m.pop(i); err != nil {
-				return err
-			}
-		}
-	case ir.LdLocal, ir.LdMono:
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.push(i, m.mem[i][a])
-	case ir.StLocal:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.mem[i][a] = w
-	case ir.StMono:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		for q := range m.mem {
-			m.mem[q][a] = w
-		}
-	case ir.LdIndex:
-		idx, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm + int64(idx))
-		if err != nil {
-			return err
-		}
-		m.push(i, m.mem[i][a])
-	case ir.StIndex:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		idx, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm + int64(idx))
-		if err != nil {
-			return err
-		}
-		m.mem[i][a] = w
-	case ir.LdRemote:
-		pw, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.push(i, m.mem[peIndex(pw, m.conf.N)][a])
-	case ir.StRemote:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		pw, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.mem[peIndex(pw, m.conf.N)][a] = w
-	case ir.IProc:
-		m.push(i, ir.Word(i))
-	case ir.NProc:
-		m.push(i, ir.Word(m.conf.N))
-	case ir.PushRet:
-		m.pes[i].retStack = append(m.pes[i].retStack, int(in.Imm))
-	default:
-		switch {
-		case ir.IsBinary(in.Op):
-			b, err := m.pop(i)
-			if err != nil {
-				return err
-			}
-			a, err := m.pop(i)
-			if err != nil {
-				return err
-			}
-			m.push(i, ir.EvalBinary(in.Op, a, b))
-		case ir.IsUnary(in.Op):
-			a, err := m.pop(i)
-			if err != nil {
-				return err
-			}
-			m.push(i, ir.EvalUnary(in.Op, a))
-		default:
-			return fmt.Errorf("unknown opcode %v", in.Op)
-		}
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"msc/internal/cfg"
+	"msc/internal/ir"
 	"msc/internal/mimdsim"
 	"msc/internal/progen"
 )
@@ -299,5 +300,35 @@ void main()
 	}
 	if partial == 0 {
 		t.Errorf("PEHist has no partial groups; divergent program should serialize")
+	}
+}
+
+func TestInterpFaultText(t *testing.T) {
+	// The stack and opcode faults are prepended to the entry block of an
+	// empty main; the indexed store's fault is the program's own.
+	for _, tc := range []struct {
+		src    string
+		prefix []ir.Instr
+		want   string
+	}{
+		{`
+poly int a[3];
+void main()
+{
+    poly int i;
+    i = 10;
+    a[i] = 1;
+    return;
+}
+`, nil, "interp: PE 0 state 0 idx 6: memory address 10 out of range [0,5)"},
+		{`void main() { return; }`, []ir.Instr{{Op: ir.Pop, Imm: 1}}, "interp: PE 0 state 0 idx 0: evaluation stack underflow"},
+		{`void main() { return; }`, []ir.Instr{{Op: ir.Op(250)}}, "interp: PE 0 state 0 idx 0: unknown opcode op(250)"},
+	} {
+		g := buildGraph(t, tc.src)
+		b := g.Block(g.Entry)
+		b.Code = append(tc.prefix, b.Code...)
+		if _, err := Run(g, Config{N: 2}); err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
 	}
 }

@@ -87,11 +87,10 @@ const (
 )
 
 type pe struct {
+	ir.PE
 	status   peStatus
 	pc       int
 	clock    int64
-	stack    []ir.Word
-	retStack []int
 	released bool // barrier check suppressed once after release
 	blocks   int
 }
@@ -218,7 +217,7 @@ func (m *machine) runPE(i int) error {
 		m.res.BlockVisits[b.ID]++
 
 		for _, in := range b.Code {
-			if err := m.exec(i, in); err != nil {
+			if err := p.Exec(in, i, m.mem); err != nil {
 				return fmt.Errorf("mimdsim: PE %d state %d: %w", i, b.ID, err)
 			}
 		}
@@ -236,13 +235,12 @@ func (m *machine) runPE(i int) error {
 			return nil
 		case cfg.Halt:
 			p.status = peIdle
-			p.stack = p.stack[:0]
-			p.retStack = p.retStack[:0]
+			p.Reset()
 			return nil
 		case cfg.Goto:
 			p.pc = b.Next
 		case cfg.Branch:
-			c, err := m.pop(i)
+			c, err := p.Pop()
 			if err != nil {
 				return err
 			}
@@ -252,11 +250,11 @@ func (m *machine) runPE(i int) error {
 				p.pc = b.FNext
 			}
 		case cfg.RetBr:
-			if len(p.retStack) == 0 {
+			if len(p.Ret) == 0 {
 				return fmt.Errorf("mimdsim: PE %d return with empty return stack", i)
 			}
-			p.pc = p.retStack[len(p.retStack)-1]
-			p.retStack = p.retStack[:len(p.retStack)-1]
+			p.pc = p.Ret[len(p.Ret)-1]
+			p.Ret = p.Ret[:len(p.Ret)-1]
 		case cfg.Spawn:
 			child := -1
 			for j := range m.pes {
@@ -272,161 +270,4 @@ func (m *machine) runPE(i int) error {
 			p.pc = b.Next
 		}
 	}
-}
-
-func (m *machine) push(i int, w ir.Word) {
-	m.pes[i].stack = append(m.pes[i].stack, w)
-}
-
-func (m *machine) pop(i int) (ir.Word, error) {
-	s := m.pes[i].stack
-	if len(s) == 0 {
-		return 0, fmt.Errorf("evaluation stack underflow")
-	}
-	w := s[len(s)-1]
-	m.pes[i].stack = s[:len(s)-1]
-	return w, nil
-}
-
-// slot validates a memory address.
-func (m *machine) slot(addr int64) (int, error) {
-	if addr < 0 || addr >= int64(m.g.Words) {
-		return 0, fmt.Errorf("memory address %d out of range [0,%d)", addr, m.g.Words)
-	}
-	return int(addr), nil
-}
-
-// peIndex normalizes a parallel-subscript processor index by wrapping
-// modulo the machine width (identical in every engine).
-func peIndex(p ir.Word, n int) int {
-	v := int(p) % n
-	if v < 0 {
-		v += n
-	}
-	return v
-}
-
-func (m *machine) exec(i int, in ir.Instr) error {
-	switch in.Op {
-	case ir.Nop:
-	case ir.PushC:
-		m.push(i, ir.Word(in.Imm))
-	case ir.Dup:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		m.push(i, w)
-		m.push(i, w)
-	case ir.Pop:
-		for k := int64(0); k < in.Imm; k++ {
-			if _, err := m.pop(i); err != nil {
-				return err
-			}
-		}
-	case ir.LdLocal, ir.LdMono:
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.push(i, m.mem[i][a])
-	case ir.StLocal:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.mem[i][a] = w
-	case ir.StMono:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		for q := range m.mem {
-			m.mem[q][a] = w
-		}
-	case ir.LdIndex:
-		idx, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm + int64(idx))
-		if err != nil {
-			return err
-		}
-		m.push(i, m.mem[i][a])
-	case ir.StIndex:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		idx, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm + int64(idx))
-		if err != nil {
-			return err
-		}
-		m.mem[i][a] = w
-	case ir.LdRemote:
-		pw, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.push(i, m.mem[peIndex(pw, m.cfg.N)][a])
-	case ir.StRemote:
-		w, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		pw, err := m.pop(i)
-		if err != nil {
-			return err
-		}
-		a, err := m.slot(in.Imm)
-		if err != nil {
-			return err
-		}
-		m.mem[peIndex(pw, m.cfg.N)][a] = w
-	case ir.IProc:
-		m.push(i, ir.Word(i))
-	case ir.NProc:
-		m.push(i, ir.Word(m.cfg.N))
-	case ir.PushRet:
-		m.pes[i].retStack = append(m.pes[i].retStack, int(in.Imm))
-	default:
-		switch {
-		case ir.IsBinary(in.Op):
-			b, err := m.pop(i)
-			if err != nil {
-				return err
-			}
-			a, err := m.pop(i)
-			if err != nil {
-				return err
-			}
-			m.push(i, ir.EvalBinary(in.Op, a, b))
-		case ir.IsUnary(in.Op):
-			a, err := m.pop(i)
-			if err != nil {
-				return err
-			}
-			m.push(i, ir.EvalUnary(in.Op, a))
-		default:
-			return fmt.Errorf("unknown opcode %v", in.Op)
-		}
-	}
-	return nil
 }

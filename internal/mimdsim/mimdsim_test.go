@@ -340,9 +340,27 @@ void main()
     return;
 }
 `))
-	if _, err := Run(g, Config{N: 1}); err == nil ||
-		!strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("bounds check missing: %v", err)
+	const want = "mimdsim: PE 0 state 0: memory address 10 out of range [0,5)"
+	if _, err := Run(g, Config{N: 1}); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+func TestStackAndOpcodeFaults(t *testing.T) {
+	// Each fault is prepended to the entry block of an empty main.
+	for _, tc := range []struct {
+		in   ir.Instr
+		want string
+	}{
+		{ir.Instr{Op: ir.Pop, Imm: 1}, "mimdsim: PE 0 state 0: evaluation stack underflow"},
+		{ir.Instr{Op: ir.Op(250)}, "mimdsim: PE 0 state 0: unknown opcode op(250)"},
+	} {
+		g := cfg.Simplify(cfg.MustBuild(`void main() { return; }`))
+		b := g.Block(g.Entry)
+		b.Code = append([]ir.Instr{tc.in}, b.Code...)
+		if _, err := Run(g, Config{N: 2}); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: err = %v, want %q", tc.in, err, tc.want)
+		}
 	}
 }
 

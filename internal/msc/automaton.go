@@ -221,30 +221,9 @@ func (a *Automaton) String() string {
 	return sb.String()
 }
 
-// Dot renders the automaton in Graphviz format (Figures 2, 5, 6 style).
-func (a *Automaton) Dot(title string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=TB;\n  node [shape=ellipse];\n", title)
-	for _, s := range a.States {
-		fmt.Fprintf(&sb, "  m%d [label=\"%s\"];\n", s.ID, strings.Trim(s.Set.String(), "{}"))
-	}
-	anyExit := false
-	for _, s := range a.States {
-		for _, to := range s.Trans {
-			fmt.Fprintf(&sb, "  m%d -> m%d;\n", s.ID, to)
-		}
-		if s.Exit {
-			fmt.Fprintf(&sb, "  m%d -> exit;\n", s.ID)
-			anyExit = true
-		}
-	}
-	fmt.Fprintf(&sb, "  start [shape=point];\n  start -> m%d;\n", a.Start)
-	if anyExit {
-		sb.WriteString("  exit [shape=doublecircle label=\"\"];\n")
-	}
-	sb.WriteString("}\n")
-	return sb.String()
-}
+// Dot renders the automaton in Graphviz format (Figures 2, 5, 6 style):
+// DotHeat with no shares, so every node is unfilled.
+func (a *Automaton) Dot(title string) string { return a.DotHeat(title, nil) }
 
 // DotHeat renders the automaton in Graphviz format as a hot-spot
 // heatmap: share[id] in [0,1] is each meta state's fraction of some

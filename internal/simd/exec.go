@@ -812,7 +812,7 @@ func (m *vm) stRemote(a int, r slotRef) error {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1
 					pe := base + b
-					buf = append(buf, remWrite{pe: pe, idx: peIndex(tgt[pe-ch.p0], m.n)*m.wpp + a, val: val[pe-ch.p0]})
+					buf = append(buf, remWrite{pe: pe, idx: ir.PEIndex(tgt[pe-ch.p0], m.n)*m.wpp + a, val: val[pe-ch.p0]})
 				}
 			}
 		}
@@ -858,7 +858,7 @@ func (m *vm) ldRemote(a int, r slotRef) error {
 					b := bits.TrailingZeros64(ew)
 					ew &= ew - 1
 					pe := base + b
-					x[pe-ch.p0] = m.mem[peIndex(x[pe-ch.p0], m.n)*m.wpp+a]
+					x[pe-ch.p0] = m.mem[ir.PEIndex(x[pe-ch.p0], m.n)*m.wpp+a]
 				}
 			}
 		}

@@ -399,7 +399,7 @@ func (m *refVM) exec(enabled []int, in ir.Instr) error {
 			if err != nil {
 				return err
 			}
-			vals[k] = m.mem[peIndex(p, m.conf.N)][a]
+			vals[k] = m.mem[ir.PEIndex(p, m.conf.N)][a]
 		}
 		for k, i := range enabled {
 			m.push(i, vals[k])
@@ -418,7 +418,7 @@ func (m *refVM) exec(enabled []int, in ir.Instr) error {
 			if err != nil {
 				return err
 			}
-			m.mem[peIndex(p, m.conf.N)][a] = w
+			m.mem[ir.PEIndex(p, m.conf.N)][a] = w
 		}
 	case ir.IProc:
 		for _, i := range enabled {

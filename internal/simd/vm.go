@@ -619,11 +619,3 @@ func releaseLookup(p *Program, agg *bitset.Set) (int, bool, error) {
 	}
 	return 0, false, fmt.Errorf("no release meta state for all-barrier aggregate %s (distinct barriers simultaneously occupied? convert with BarrierExact)", agg)
 }
-
-func peIndex(p ir.Word, n int) int {
-	v := int(p) % n
-	if v < 0 {
-		v += n
-	}
-	return v
-}
